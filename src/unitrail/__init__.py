@@ -12,7 +12,7 @@ from .core import (
     reverse_trail,
     tokens_alphabet,
 )
-from .grammar import GrammarNFA, build_grammar_nfa, export_transitions, nfa_accepts, state_count
+from .grammar import GrammarNFA, build_grammar_nfa, export_transitions, nfa_accepts
 from .harness import CrosscheckReport, cross_validate
 from .mfw import brute_mfw, constructive_mfw, matches_binary_mfw
 from .oracle import count_trails, enumerate_trails, is_unique_trail
@@ -65,7 +65,6 @@ __all__ = [
     "reverse_trail",
     "run",
     "segments",
-    "state_count",
     "step",
     "step_inplace",
     "tokens_alphabet",

@@ -94,7 +94,6 @@ def cmd_check(args) -> int:
         return _usage_error(str(exc))
     if args.alphabet_size is not None and args.alphabet_size < 1:
         return _usage_error("--alphabet-size must be at least 1")
-    reports = []
     for lineno, raw in enumerate(lines, start=1):
         try:
             trail, alphabet = parse_trail(raw.strip(), tokens=args.tokens)
@@ -115,8 +114,6 @@ def cmd_check(args) -> int:
         }
         if args.explain and not verdict.accepted:
             report["witness"] = _witness(trail, alphabet, args.tokens)
-        reports.append(report)
-    for report in reports:
         if args.json:
             print(json.dumps(report))
         else:

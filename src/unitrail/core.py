@@ -5,7 +5,9 @@ only at the I/O boundary (parsing and rendering); everything downstream
 works on ids 0..m-1.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 Trail = tuple[int, ...]
 
@@ -95,18 +97,23 @@ class Multigraph:
     """Directed multigraph as an arc multiset over ordered vertex pairs.
 
     Self-loops and parallel arcs are permitted; vertices with no incident
-    arcs simply stay inert.
+    arcs simply stay inert.  The arc mapping is a read-only copy of the one
+    passed in, so a graph can be hashed and never changes.
     """
 
     vertex_count: int
-    arc_multiplicity: dict[tuple[int, int], int] = field(default_factory=dict)
+    arc_multiplicity: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "arc_multiplicity", MappingProxyType(dict(self.arc_multiplicity)))
         for (u, v), count in self.arc_multiplicity.items():
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"arc ({u}, {v}) has endpoint outside 0..{self.vertex_count - 1}")
             if count < 1:
                 raise ValueError("arc multiplicities must be positive")
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, frozenset(self.arc_multiplicity.items())))
 
     @property
     def arc_count(self) -> int:

@@ -1,4 +1,4 @@
-"""Right-linear grammar for the non-unique trails, realized as an NFA.
+"""Right-linear grammar for the non-unique trails, computed as an NFA.
 
 The grammar guesses the two occurrences of the leading anchor vertex, a
 marked vertex seen up to the second occurrence that must recur afterwards,
@@ -14,15 +14,19 @@ shapes:
 * ``await(b)``         past the second occurrence, waiting for the mark,
 * ``accept``           the mark recurred; absorbing.
 
-Two rule sets are built.  In ``strict`` mode the mark can only be a vertex
-of the in-between stretch (or the anchor itself when the stretch is
-empty), which is sound but misses inputs like 0 1 0 0 and 0 1 0 2 0.
-``amended`` mode additionally lets the mark be the anchor while the
-stretch is nonempty, closing the gap; the cross-validation harness
-reports the delta between the two instead of hiding it.
+Every arc comes from one rule, ``successors``, so nothing is built per
+alphabet: a run steps only its live set of states (subset simulation).
+The two variants differ by one production.  In ``strict`` mode the mark
+can only be a vertex of the in-between stretch (or the anchor itself when
+the stretch is empty), which is sound but misses inputs like 0 1 0 0 and
+0 1 0 2 0.  ``amended`` mode also has ``anchor(a) --c--> span(a, c, a)``,
+which lets the mark be the anchor while the stretch is nonempty and closes
+the gap; the cross-validation harness reports the delta between the two
+instead of hiding it.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from .core import Trail, validate_trail
 
@@ -35,92 +39,78 @@ ACCEPT: State = ("accept",)
 class GrammarNFA:
     size: int
     mode: str
-    states: frozenset
-    transitions: dict
-    start: State = START
-    accepting: frozenset = frozenset({ACCEPT})
 
 
 def build_grammar_nfa(size: int, mode: str = "strict") -> GrammarNFA:
-    """Materialize the full state space and transition relation."""
+    """Check the alphabet size and mode; the arcs are computed on demand."""
     if size < 1:
         raise ValueError("alphabet size must be at least 1")
     if mode not in ("strict", "amended"):
         raise ValueError(f"mode must be 'strict' or 'amended', not {mode!r}")
-    syms = range(size)
-    states = {START, ACCEPT}
-    trans: dict[State, dict[int, set]] = {}
+    return GrammarNFA(size, mode)
 
-    def arc(src: State, symbol: int, dst: State) -> None:
-        trans.setdefault(src, {}).setdefault(symbol, set()).add(dst)
 
-    for d in syms:
-        arc(START, d, START)
-        arc(START, d, ("anchor", d))
+def successors(nfa: GrammarNFA, state: State, symbol: int) -> set:
+    """The states that ``state`` moves to on ``symbol``."""
+    d = symbol
+    match state:
+        # span first: it makes up most of every live set
+        case ("span", a, c, b):
+            found = {state, ("span", a, c, d)}
+            if d == a:
+                found.add(("branch", c, b))
+            return found
+        case ("start",):
+            return {START, ("anchor", d)}
+        case ("anchor", a):
+            found = {("span", a, d, d)}
+            if nfa.mode == "amended":
+                found.add(("span", a, d, a))
+            if d == a:
+                found.add(("branch", a, a))
+            return found
+        case ("branch", c, b):
+            if d == c:
+                return set()
+            return {("await", b), ACCEPT} if d == b else {("await", b)}
+        case ("await", b):
+            return {state, ACCEPT} if d == b else {state}
+        case ("accept",):
+            return {ACCEPT}
+    raise ValueError(f"not a grammar state: {state!r}")
+
+
+def all_states(nfa: GrammarNFA):
+    """Every state, reachable or not: 2 + 2m + m^2 + m^3 of them."""
+    syms = range(nfa.size)
+    yield START
+    yield ACCEPT
     for a in syms:
-        states.add(("anchor", a))
-        states.add(("await", a))
-        for c in syms:
-            states.add(("branch", a, c))
-            for b in syms:
-                states.add(("span", a, c, b))
-    for a in syms:
-        for c in syms:
-            arc(("anchor", a), c, ("span", a, c, c))
-            if mode == "amended":
-                arc(("anchor", a), c, ("span", a, c, a))
-        arc(("anchor", a), a, ("branch", a, a))
-    for a in syms:
-        for c in syms:
-            for b in syms:
-                src = ("span", a, c, b)
-                for d in syms:
-                    arc(src, d, src)
-                    arc(src, d, ("span", a, c, d))
-                arc(src, a, ("branch", c, b))
-    for c in syms:
-        for b in syms:
-            src = ("branch", c, b)
-            for d in syms:
-                if d != c:
-                    arc(src, d, ("await", b))
-            if b != c:
-                arc(src, b, ACCEPT)
-    for b in syms:
-        src = ("await", b)
-        for d in syms:
-            arc(src, d, src)
-        arc(src, b, ACCEPT)
-    for d in syms:
-        arc(ACCEPT, d, ACCEPT)
-
-    frozen = {src: {sym: frozenset(dsts) for sym, dsts in by_sym.items()} for src, by_sym in trans.items()}
-    return GrammarNFA(size=size, mode=mode, states=frozenset(states), transitions=frozen)
-
-
-def state_count(size: int) -> int:
-    """2 + 2m + m^2 + m^3: start/accept, anchor+await, branch, span."""
-    return 2 + 2 * size + size**2 + size**3
+        yield ("anchor", a)
+        yield ("await", a)
+    for c, b in product(syms, repeat=2):
+        yield ("branch", c, b)
+    for a, c, b in product(syms, repeat=3):
+        yield ("span", a, c, b)
 
 
 def iter_live_sets(nfa: GrammarNFA, trail: Trail):
     """Subset simulation; yields the live state set after every symbol."""
     validate_trail(trail, nfa.size)
-    live = frozenset({nfa.start})
+    live = {START}
     yield live
     for symbol in trail:
         step: set = set()
         for state in live:
-            step |= nfa.transitions.get(state, {}).get(symbol, frozenset())
-        live = frozenset(step)
+            step |= successors(nfa, state, symbol)
+        live = step
         yield live
 
 
 def nfa_accepts(nfa: GrammarNFA, trail: Trail) -> bool:
-    live = frozenset({nfa.start})
-    for group in iter_live_sets(nfa, trail):
-        live = group
-    return bool(live & nfa.accepting)
+    for live in iter_live_sets(nfa, trail):
+        pass
+    return ACCEPT in live
 
 
 def _state_label(state: State) -> str:
@@ -132,10 +122,10 @@ def _state_label(state: State) -> str:
 
 def export_transitions(nfa: GrammarNFA) -> str:
     """Plain-text relation, one ``from symbol to`` triple per line, sorted."""
-    lines = []
-    for src, by_sym in nfa.transitions.items():
-        for symbol, dsts in by_sym.items():
-            for dst in dsts:
-                lines.append(f"{_state_label(src)} {symbol} {_state_label(dst)}")
-    lines.sort()
+    lines = sorted(
+        f"{_state_label(src)} {symbol} {_state_label(dst)}"
+        for src in all_states(nfa)
+        for symbol in range(nfa.size)
+        for dst in successors(nfa, src, symbol)
+    )
     return "".join(line + "\n" for line in lines)

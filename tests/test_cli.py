@@ -95,6 +95,19 @@ def test_check_json_and_plain_carry_identical_information(monkeypatch, capsys):
     assert plain == parsed
 
 
+@pytest.mark.parametrize("json_out", [False, True])
+def test_check_keeps_earlier_verdicts_when_a_later_line_is_bad(json_out, monkeypatch, capsys):
+    args = ["check", "--json"] if json_out else ["check"]
+    code, out, err = run_cli(args, monkeypatch, capsys, stdin="0010\n0 1\n")
+    assert code == EXIT_USAGE
+    assert "line 2" in err
+    if json_out:
+        verdicts = [json.loads(line) for line in out.splitlines()]
+        assert verdicts == [{"index": 0, "verdict": "NONUNIQUE", "first_rejection": 4}]
+    else:
+        assert out == "0\tNONUNIQUE\t4\n"
+
+
 def test_trails_lists_all_trails(monkeypatch, capsys):
     code, out, _ = run_cli(["trails", "0010"], monkeypatch, capsys)
     assert code == EXIT_OK
@@ -211,6 +224,18 @@ def test_crosscheck_strict_names_gap_strings(monkeypatch, capsys):
     )
     assert code == EXIT_OK  # gaps are reported, soundness still holds
     assert "  gap 01020" in out.splitlines()
+
+
+def test_crosscheck_alphabet_beyond_the_character_names(monkeypatch, capsys):
+    # m=64 exceeds the 62 single-character names, so words render as tokens;
+    # the grammar is computed per step, so the sweep stays small and fast
+    code, out, _ = run_cli(
+        ["crosscheck", "--alphabet-size", "64", "--max-len", "2"], monkeypatch, capsys
+    )
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "checked 4160 strings over alphabet size 64, lengths 1..2"
+    assert "four-way agreement: ok" in lines
 
 
 def test_crosscheck_stdout_is_deterministic(monkeypatch, capsys):

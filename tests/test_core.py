@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from unitrail.core import (
     Alphabet,
+    Multigraph,
     TrailParseError,
     chars_alphabet,
     induced_graph,
@@ -66,6 +67,20 @@ def test_induced_graph_single_vertex_has_no_arcs():
 def test_induced_graph_parallel_arcs_accumulate():
     g = induced_graph((0, 1, 0, 1, 0), 2)
     assert g.arc_multiplicity == {(0, 1): 2, (1, 0): 2}
+
+
+def test_multigraph_is_immutable_and_hashable():
+    arcs = {(0, 1): 1}
+    g = Multigraph(2, arcs)
+    arcs[(1, 0)] = 1  # the graph holds its own copy
+    assert g.arc_multiplicity == {(0, 1): 1}
+    h = induced_graph((0, 1, 0), 2)
+    with pytest.raises(TypeError):
+        h.arc_multiplicity[(0, 1)] = 5
+    assert h.arc_multiplicity == {(0, 1): 1, (1, 0): 1}
+    assert hash(h) == hash(induced_graph((0, 1, 0), 2))
+    # h.reversed() holds the same arcs inserted in the other order
+    assert len({h, induced_graph((0, 1, 0), 2), h.reversed(), g}) == 2
 
 
 def test_induced_graph_rejects_empty_trail():
