@@ -1,6 +1,6 @@
 """Streaming uniqueness checks for Eulerian trails of trail-induced multigraphs."""
 
-from .automaton import AutomatonState, Verdict, init_state, is_accepting, run, step, step_inplace
+from .automaton import AutomatonState, Verdict, init_state, is_accepting, run, step_inplace
 from .core import (
     Alphabet,
     Multigraph,
@@ -65,7 +65,6 @@ __all__ = [
     "reverse_trail",
     "run",
     "segments",
-    "step",
     "step_inplace",
     "tokens_alphabet",
 ]

@@ -5,8 +5,10 @@ vertex read, a latest-follower table (which vertex most recently followed
 each vertex, including a virtual start-of-input marker), and a black/white
 color per vertex.  A vertex turns black once it sits on a committed cycle;
 when a black vertex is entered again the whole table blackens, which is the
-absorbing dead state.  Acceptance = at least one vertex still white, so a
-rejection is noticed on the exact symbol that causes it.
+absorbing dead state.  Acceptance = at least one vertex still white.  A step
+leaves every vertex black exactly when the vertex it enters is black, so
+:func:`run` decides on that one colour and notices a rejection on the exact
+symbol that causes it, without scanning the table.
 """
 
 from dataclasses import dataclass
@@ -33,9 +35,6 @@ class AutomatonState:
     @property
     def size(self) -> int:
         return len(self.black)
-
-    def copy(self) -> "AutomatonState":
-        return AutomatonState(self.last, list(self.follower), list(self.black))
 
 
 @dataclass(frozen=True)
@@ -95,13 +94,6 @@ def step_inplace(state: AutomatonState, symbol: int) -> None:
     state.last = symbol
 
 
-def step(state: AutomatonState, symbol: int) -> AutomatonState:
-    """Pure version of :func:`step_inplace`; the input state is untouched."""
-    out = state.copy()
-    step_inplace(out, symbol)
-    return out
-
-
 def is_accepting(state: AutomatonState) -> bool:
     """Accepting while at least one vertex is still white."""
     return not all(state.black)
@@ -111,8 +103,12 @@ def run(trail: Trail, size: int) -> Verdict:
     """Feed a trail through the machine and report the verdict.
 
     One pass over the input; stops at the first non-accepting prefix (the
-    dead state is absorbing, so nothing later can recover).  The empty
-    trail is accepted, even over an empty alphabet.
+    dead state is absorbing, so nothing later can recover).  A step ends
+    non-accepting exactly when the vertex it entered is black: phase 2 of
+    :func:`step_inplace` blackens the whole table in that case, phases 3
+    and 4 change no colour, and a chain walk that blackens every vertex
+    blackens the entered one too.  The empty trail is accepted, even over
+    an empty alphabet.
     """
     if size == 0:
         if trail:
@@ -121,6 +117,6 @@ def run(trail: Trail, size: int) -> Verdict:
     state = init_state(size)
     for consumed, symbol in enumerate(trail, start=1):
         step_inplace(state, symbol)
-        if not is_accepting(state):
+        if state.black[symbol]:
             return Verdict(accepted=False, first_rejection=consumed)
     return Verdict(accepted=True)

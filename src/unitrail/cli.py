@@ -7,9 +7,9 @@ crosscheck timing summary goes to stderr.
 """
 
 import argparse
+import contextlib
 import json
 import sys
-from pathlib import Path
 
 from .automaton import run
 from .core import Alphabet, TrailParseError, chars_alphabet, induced_graph, parse_trail
@@ -65,10 +65,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_lines(path: str) -> list[str]:
+def _open_input(path: str):
+    """The input as a text stream in which undecodable bytes become lone
+    surrogates, so ``check`` can reject them with a line number."""
     if path == "-":
-        return sys.stdin.read().splitlines()
-    return Path(path).read_text(encoding="utf-8").splitlines()
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(errors="surrogateescape")
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _lines(stream):
+    """The stream's lines one at a time, split as ``str.splitlines`` splits
+    the whole text: each chunk the stream yields ends at a ``\n``, so no
+    line ending straddles two chunks."""
+    for chunk in stream:
+        yield from chunk.splitlines()
 
 
 def _witness(trail, alphabet: Alphabet, tokens: bool) -> dict:
@@ -88,43 +100,48 @@ def _witness(trail, alphabet: Alphabet, tokens: bool) -> dict:
 
 
 def cmd_check(args) -> int:
-    try:
-        lines = _read_lines(args.path)
-    except OSError as exc:
-        return _usage_error(str(exc))
     if args.alphabet_size is not None and args.alphabet_size < 1:
         return _usage_error("--alphabet-size must be at least 1")
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            trail, alphabet = parse_trail(raw.strip(), tokens=args.tokens)
-            size = alphabet.size
-            if args.alphabet_size is not None:
-                if size > args.alphabet_size:
-                    raise TrailParseError(
-                        f"{size} distinct symbols exceed --alphabet-size {args.alphabet_size}"
-                    )
-                size = args.alphabet_size
-        except TrailParseError as exc:
-            return _usage_error(f"line {lineno}: {exc}")
-        verdict = run(trail, size)
-        report = {
-            "index": lineno - 1,
-            "verdict": "UNIQUE" if verdict.accepted else "NONUNIQUE",
-            "first_rejection": verdict.first_rejection,
-        }
-        if args.explain and not verdict.accepted:
-            report["witness"] = _witness(trail, alphabet, args.tokens)
-        if args.json:
-            print(json.dumps(report))
-        else:
-            fields = [
-                str(report["index"]),
-                report["verdict"],
-                "-" if report["first_rejection"] is None else str(report["first_rejection"]),
-            ]
-            if "witness" in report:
-                fields += [f"{key}={value}" for key, value in report["witness"].items()]
-            print("\t".join(fields))
+    try:
+        source = _open_input(args.path)
+    except OSError as exc:
+        return _usage_error(str(exc))
+    with source as stream:
+        for lineno, raw in enumerate(_lines(stream), start=1):
+            try:
+                raw.encode()
+            except UnicodeEncodeError:
+                return _usage_error(f"line {lineno}: undecodable bytes")
+            try:
+                trail, alphabet = parse_trail(raw.strip(), tokens=args.tokens)
+                size = alphabet.size
+                if args.alphabet_size is not None:
+                    if size > args.alphabet_size:
+                        raise TrailParseError(
+                            f"{size} distinct symbols exceed --alphabet-size {args.alphabet_size}"
+                        )
+                    size = args.alphabet_size
+            except TrailParseError as exc:
+                return _usage_error(f"line {lineno}: {exc}")
+            verdict = run(trail, size)
+            report = {
+                "index": lineno - 1,
+                "verdict": "UNIQUE" if verdict.accepted else "NONUNIQUE",
+                "first_rejection": verdict.first_rejection,
+            }
+            if args.explain and not verdict.accepted:
+                report["witness"] = _witness(trail, alphabet, args.tokens)
+            if args.json:
+                print(json.dumps(report), flush=True)
+            else:
+                fields = [
+                    str(report["index"]),
+                    report["verdict"],
+                    "-" if report["first_rejection"] is None else str(report["first_rejection"]),
+                ]
+                if "witness" in report:
+                    fields += [f"{key}={value}" for key, value in report["witness"].items()]
+                print("\t".join(fields), flush=True)
     return EXIT_OK
 
 

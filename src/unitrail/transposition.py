@@ -40,22 +40,6 @@ class OneAnchor:
 TranspositionSite = TwoAnchors | OneAnchor
 
 
-@dataclass
-class ProperizeCounters:
-    """Bookkeeping for :func:`properize`: shift steps taken and how often
-    the validated recursion had to fall back to exhaustive search."""
-
-    shifts: int = 0
-    fallbacks: int = 0
-
-    def reset(self) -> None:
-        self.shifts = 0
-        self.fallbacks = 0
-
-
-PROPERIZE_COUNTERS = ProperizeCounters()
-
-
 def validate_site(trail: Trail, site: TranspositionSite) -> None:
     """Raise unless the site's indices and anchor symbols fit the trail."""
     n = len(trail)
@@ -151,7 +135,7 @@ def find_proper_site(trail: Trail) -> TranspositionSite | None:
     return None
 
 
-def _shift_improper(trail: Trail, site: TranspositionSite) -> TranspositionSite | None:
+def _shift_improper(trail: Trail, site: TranspositionSite) -> TranspositionSite:
     """One anchor-shifting step: absorb the shared follower into the prefix.
 
     Both leading anchors are followed by the same vertex, which becomes the
@@ -175,24 +159,18 @@ def _shift_improper(trail: Trail, site: TranspositionSite) -> TranspositionSite 
     return OneAnchor(i + 1, j, k)
 
 
-def _fallback_proper_site(trail: Trail, image: Trail) -> TranspositionSite:
-    for site in all_sites(trail):
-        if is_proper(trail, site) and apply_transposition(trail, site) == image:
-            return site
-    raise RuntimeError(
-        f"no proper site reproduces the image {image} of trail {trail}; "
-        "every non-identity transposition should have one"
-    )
-
-
 def properize(trail: Trail, site: TranspositionSite) -> TranspositionSite:
     """Replace a non-identity transposition by a proper one with equal image.
 
-    Repeatedly shifts the anchors past the shared follower; each shift is
-    validated against the original image and the whole loop strictly moves
-    the first anchor right, so it terminates.  If a shift ever produces a
-    malformed or image-changing site, the answer is recovered by exhaustive
-    search instead and the fallback counter records the event.
+    Shift lemma: the two leading anchors of an improper site are followed by
+    the same vertex, and every branch of :func:`_shift_improper` makes those
+    two followers the new leading anchors, which moves the first anchor
+    right by exactly one and keeps the image.  The first anchor cannot pass
+    the end of the trail, so the loop ends, and it ends at a proper site.
+    The number of shifts taken is ``result.i - site.i``.  Every shift is
+    checked against the lemma; a shifted site that is malformed, does not
+    move the first anchor by one, or changes the image raises
+    ``RuntimeError``.
     """
     image = apply_transposition(trail, site)
     if image == trail:
@@ -201,14 +179,14 @@ def properize(trail: Trail, site: TranspositionSite) -> TranspositionSite:
     while not is_proper(trail, current):
         shifted = _shift_improper(trail, current)
         try:
-            validate_site(trail, shifted)
-            ok = apply_transposition(trail, shifted) == image
+            ok = shifted.i == current.i + 1 and apply_transposition(trail, shifted) == image
         except ValueError:
             ok = False
         if not ok:
-            PROPERIZE_COUNTERS.fallbacks += 1
-            return _fallback_proper_site(trail, image)
-        PROPERIZE_COUNTERS.shifts += 1
+            raise RuntimeError(
+                f"shifting site {current} of trail {trail} gave {shifted}, "
+                "which breaks the shift lemma"
+            )
         current = shifted
     return current
 

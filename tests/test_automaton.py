@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from unitrail.automaton import (
     init_state,
     is_accepting,
     run,
-    step,
     step_inplace,
 )
 from unitrail.oracle import is_unique_trail
@@ -99,18 +100,6 @@ def test_verdict_consistency_enforced():
         Verdict(False, None)
 
 
-@given(st.lists(st.integers(0, 2), max_size=10))
-def test_pure_and_inplace_step_agree(symbols):
-    mutated = init_state(3)
-    pure = init_state(3)
-    for symbol in symbols:
-        argument = pure
-        pure = step(pure, symbol)
-        step_inplace(mutated, symbol)
-        assert pure == mutated
-        assert argument is not pure  # step never hands back its argument
-
-
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
 def test_colors_are_monotone(symbols):
     state = init_state(3)
@@ -176,3 +165,88 @@ def test_follower_chain_from_last_vertex_cycles_back(symbols):
             return
         vertex = state.follower[vertex]
     pytest.fail(f"chain from {state.last} did not return: {state}")
+
+
+def first_non_accepting_step(word, size):
+    state = init_state(size)
+    for consumed, symbol in enumerate(word, start=1):
+        step_inplace(state, symbol)
+        if not is_accepting(state):
+            return consumed
+    return None
+
+
+def test_run_rejects_where_the_state_stops_accepting():
+    # run decides on the colour of the entered vertex; acceptance is
+    # defined by the whole table, so the two must name the same step
+    for size in (1, 2, 3):
+        for word in all_strings(size, 8):
+            for padded in (size, size + 2):
+                assert run(word, padded).first_rejection == first_non_accepting_step(word, padded), (word, padded)
+
+
+def test_doubled_trail_is_accepted_in_linear_time():
+    size = 50_000
+    trail = tuple(vertex for vertex in range(size) for _ in range(2))
+    begin = time.perf_counter()
+    verdict = run(trail, size)
+    elapsed = time.perf_counter() - begin
+    assert verdict == Verdict(True)
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
+class CountingList(list):
+    """A follower table that counts its reads: one per symbol, plus one per
+    hop of the chain walk."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def assert_at_most_one_hop_per_symbol(symbols, size):
+    """Feed an accepted trail and check the hop bound on every prefix."""
+    state = init_state(size)
+    state.follower = CountingList(state.follower)
+    for consumed, symbol in enumerate(symbols, start=1):
+        step_inplace(state, symbol)
+        hops = state.follower.reads - consumed
+        assert hops <= consumed, (symbols[:consumed], hops)
+    assert is_accepting(state)
+
+
+def test_chain_walk_takes_at_most_one_hop_per_symbol_small_scale():
+    for size in (1, 2, 3):
+        for word in all_strings(size, 9):
+            if run(word, size).accepted:
+                assert_at_most_one_hop_per_symbol(word, size)
+
+
+@st.composite
+def accepted_walks(draw):
+    """A trail of up to 150 symbols built one symbol at a time from the
+    symbols that keep it accepted, so walks run long instead of dying in a
+    few steps."""
+    size = draw(st.integers(1, 8))
+    state = init_state(size)
+    walk = []
+    for _ in range(150):
+        alive = []
+        for symbol in range(size):
+            trial = AutomatonState(state.last, list(state.follower), list(state.black))
+            step_inplace(trial, symbol)
+            if is_accepting(trial):
+                alive.append(symbol)
+        if not alive:
+            break
+        symbol = draw(st.sampled_from(alive))
+        step_inplace(state, symbol)
+        walk.append(symbol)
+    return size, tuple(walk)
+
+
+@given(accepted_walks())
+def test_chain_walk_takes_at_most_one_hop_per_symbol(walk):
+    assert_at_most_one_hop_per_symbol(walk[1], walk[0])

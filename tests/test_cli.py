@@ -1,8 +1,14 @@
 import io
 import json
+import os
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unitrail
 from unitrail.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from unitrail.harness import CrosscheckReport
 
@@ -12,6 +18,16 @@ def run_cli(argv, monkeypatch, capsys, stdin=""):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def start_cli(argv, **env):
+    """The CLI in a child process, with pipes on all three streams."""
+    source = str(Path(unitrail.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": source, **env}
+    return subprocess.Popen(
+        [sys.executable, "-m", "unitrail", *argv],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
 
 
 def parse_plain_check_line(line):
@@ -106,6 +122,58 @@ def test_check_keeps_earlier_verdicts_when_a_later_line_is_bad(json_out, monkeyp
         assert verdicts == [{"index": 0, "verdict": "NONUNIQUE", "first_rejection": 4}]
     else:
         assert out == "0\tNONUNIQUE\t4\n"
+
+
+def test_check_answers_each_line_before_the_input_ends():
+    proc = start_cli(["check"])
+    try:
+        proc.stdin.write(b"0010\n")
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready, "no verdict while stdin was still open"
+        assert proc.stdout.readline() == b"0\tNONUNIQUE\t4\n"
+        proc.stdin.write(b"abab\n")
+        proc.stdin.close()
+        assert proc.stdout.read() == b"1\tUNIQUE\t-\n"
+        assert proc.wait(timeout=10) == EXIT_OK
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+def test_check_rejects_undecodable_bytes_in_a_file(tmp_path, monkeypatch, capsys):
+    source = tmp_path / "input.txt"
+    source.write_bytes(b"0010\n\xff\n")
+    code, out, err = run_cli(["check", str(source)], monkeypatch, capsys)
+    assert code == EXIT_USAGE
+    assert out == "0\tNONUNIQUE\t4\n"
+    assert "line 2:" in err
+
+
+def test_check_rejects_undecodable_bytes_on_stdin():
+    # a strict decoder on stdin would raise before any line could be named
+    proc = start_cli(["check"], PYTHONIOENCODING="utf-8:strict")
+    out, err = proc.communicate(b"0010\n\xff\n", timeout=10)
+    assert proc.returncode == EXIT_USAGE
+    assert out == b"0\tNONUNIQUE\t4\n"
+    assert b"line 2:" in err
+
+
+@pytest.mark.parametrize("from_file", [False, True])
+def test_check_counts_lines_for_every_line_ending(from_file, tmp_path, monkeypatch, capsys):
+    text = "abab\r\n0010\r\r0 1\n"
+    argv = ["check"]
+    if from_file:
+        source = tmp_path / "input.txt"
+        source.write_bytes(text.encode())
+        argv.append(str(source))
+        text = ""
+    code, out, err = run_cli(argv, monkeypatch, capsys, stdin=text)
+    assert code == EXIT_USAGE
+    assert out.splitlines() == ["0\tUNIQUE\t-", "1\tNONUNIQUE\t4", "2\tUNIQUE\t-"]
+    assert "line 4:" in err
 
 
 def test_trails_lists_all_trails(monkeypatch, capsys):

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from unitrail import transposition
 from unitrail.core import induced_graph
 from unitrail.oracle import is_unique_trail
 from unitrail.transposition import (
-    PROPERIZE_COUNTERS,
     OneAnchor,
     TwoAnchors,
     all_sites,
@@ -94,7 +94,7 @@ def test_properize_handles_equal_anchor_collapse():
 
 
 def test_properize_exhaustive_small_scale():
-    PROPERIZE_COUNTERS.reset()
+    # properize raises RuntimeError on any shift that breaks the shift lemma
     for trail in all_strings(2, 7, min_len=3):
         for site in all_sites(trail):
             image = apply_transposition(trail, site)
@@ -103,7 +103,22 @@ def test_properize_exhaustive_small_scale():
             proper = properize(trail, site)
             assert is_proper(trail, proper)
             assert apply_transposition(trail, proper) == image
-    assert PROPERIZE_COUNTERS.fallbacks == 0
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [
+        lambda trail, site: OneAnchor(0, 1, 2),  # anchors differ: malformed
+        lambda trail, site: site,  # well-formed, same image, but never moves
+        lambda trail, site: TwoAnchors(1, 2, 3, 7),  # well-formed, moves, changes the image
+    ],
+    ids=["malformed", "stuck", "image-changing"],
+)
+def test_properize_raises_when_a_shift_breaks_the_lemma(shift, monkeypatch):
+    trail = (0, 1, 0, 1, 2, 0, 2, 0)
+    monkeypatch.setattr(transposition, "_shift_improper", shift)
+    with pytest.raises(RuntimeError, match=r"site OneAnchor\(i=0, j=2, k=5\) of trail \(0, 1, 0, 1, 2, 0, 2, 0\)"):
+        properize(trail, OneAnchor(0, 2, 5))
 
 
 @given(st.lists(st.integers(0, 2), min_size=3, max_size=10).map(tuple), st.data())
