@@ -10,12 +10,11 @@ from .core import (
     induced_graph,
     parse_trail,
     reverse_trail,
-    tokens_alphabet,
 )
 from .grammar import GrammarNFA, build_grammar_nfa, export_transitions, nfa_accepts
 from .harness import CrosscheckReport, cross_validate
 from .mfw import brute_mfw, constructive_mfw, matches_binary_mfw
-from .oracle import count_trails, enumerate_trails, is_unique_trail
+from .oracle import enumerate_trails, is_unique_trail
 from .transposition import (
     OneAnchor,
     TranspositionSite,
@@ -47,7 +46,6 @@ __all__ = [
     "build_grammar_nfa",
     "chars_alphabet",
     "constructive_mfw",
-    "count_trails",
     "cross_validate",
     "enumerate_trails",
     "export_transitions",
@@ -66,5 +64,4 @@ __all__ = [
     "run",
     "segments",
     "step_inplace",
-    "tokens_alphabet",
 ]

@@ -8,6 +8,7 @@ crosscheck timing summary goes to stderr.
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 
@@ -83,8 +84,9 @@ def _lines(stream):
         yield from chunk.splitlines()
 
 
-def _witness(trail, alphabet: Alphabet, tokens: bool) -> dict:
-    site = find_proper_site(trail)
+def _witness(trail, rejected_at: int, alphabet: Alphabet, tokens: bool) -> dict:
+    """A proper site of the shortest rejected prefix, shown on the whole line."""
+    site = find_proper_site(trail[:rejected_at])
     parts = segments(trail, site)
     if isinstance(site, TwoAnchors):
         label = f"two_anchors({site.i},{site.p},{site.j},{site.q})"
@@ -130,7 +132,7 @@ def cmd_check(args) -> int:
                 "first_rejection": verdict.first_rejection,
             }
             if args.explain and not verdict.accepted:
-                report["witness"] = _witness(trail, alphabet, args.tokens)
+                report["witness"] = _witness(trail, verdict.first_rejection, alphabet, args.tokens)
             if args.json:
                 print(json.dumps(report), flush=True)
             else:
@@ -155,8 +157,8 @@ def cmd_trails(args) -> int:
     if not trail:
         return _usage_error("empty input sequence")
     graph = induced_graph(trail, alphabet.size)
-    for found in enumerate_trails(graph, trail[0], limit=args.limit):
-        print(alphabet.render(found, args.tokens))
+    for found in itertools.islice(enumerate_trails(graph, trail[0]), args.limit):
+        print(alphabet.render(found, args.tokens), flush=True)
     return EXIT_OK
 
 

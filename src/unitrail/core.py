@@ -36,15 +36,6 @@ class Alphabet:
         if any(not name for name in self.names):
             raise TrailParseError("empty token")
 
-    def id_of(self, token: str) -> int:
-        try:
-            return self.names.index(token)
-        except ValueError:
-            raise TrailParseError(f"unknown token {token!r}") from None
-
-    def name_of(self, symbol: int) -> str:
-        return self.names[symbol]
-
     def render(self, trail: Trail, tokens: bool = False) -> str:
         sep = " " if tokens else ""
         return sep.join(self.names[s] for s in trail)
@@ -57,25 +48,15 @@ def chars_alphabet(size: int) -> Alphabet:
     return Alphabet(size, tuple(DEFAULT_CHARS[:size]))
 
 
-def tokens_alphabet(size: int) -> Alphabet:
-    """Canonical numeric-token alphabet: "0", "1", ..."""
-    return Alphabet(size, tuple(str(i) for i in range(size)))
-
-
-def parse_trail(
-    text: str, tokens: bool = False, alphabet: Alphabet | None = None
-) -> tuple[Trail, Alphabet]:
-    """Parse text into a trail, inferring the alphabet unless one is given.
+def parse_trail(text: str, tokens: bool = False) -> tuple[Trail, Alphabet]:
+    """Parse text into a trail and the alphabet it uses.
 
     In chars mode every character is one symbol; in tokens mode symbols are
-    whitespace-separated.  Inferred ids are assigned in first-appearance
-    order.  Under a fixed alphabet every token must already be known.
+    whitespace-separated.  Ids are assigned in first-appearance order.
     """
     pieces = text.split() if tokens else list(text)
     if not tokens and any(p.isspace() for p in pieces):
         raise TrailParseError("whitespace is not a symbol in chars mode")
-    if alphabet is not None:
-        return tuple(alphabet.id_of(p) for p in pieces), alphabet
     ids: dict[str, int] = {}
     symbols = []
     for piece in pieces:
@@ -118,10 +99,6 @@ class Multigraph:
     @property
     def arc_count(self) -> int:
         return sum(self.arc_multiplicity.values())
-
-    def reversed(self) -> "Multigraph":
-        flipped = {(v, u): k for (u, v), k in self.arc_multiplicity.items()}
-        return Multigraph(self.vertex_count, flipped)
 
 
 def induced_graph(trail: Trail, size: int) -> Multigraph:

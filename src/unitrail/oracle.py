@@ -6,31 +6,33 @@ other classifier in the package; uniqueness queries early-exit after the
 second trail.
 """
 
+import itertools
+from collections.abc import Iterator
+
 from .core import Multigraph, Trail, induced_graph
 
 
-def enumerate_trails(
-    graph: Multigraph, start: int, limit: int | None = None
-) -> list[Trail]:
-    """All complete trails of ``graph`` beginning at ``start``, lexicographic.
+def enumerate_trails(graph: Multigraph, start: int) -> Iterator[Trail]:
+    """Yield every complete trail of ``graph`` from ``start``, lexicographic.
 
     A complete trail consumes every arc exactly once.  A zero-arc graph has
-    the single trail ``[start]``; a graph that cannot be fully traversed
-    from ``start`` yields no trails at all.
+    the single trail ``(start,)``; a graph that cannot be fully traversed
+    from ``start`` yields no trails at all.  Each trail is yielded as soon
+    as it is found, so a caller that stops early stops the search.
     """
     if not 0 <= start < graph.vertex_count:
         raise ValueError(f"start vertex {start} out of range")
     remaining = dict(graph.arc_multiplicity)
     left = sum(remaining.values())
     if left == 0:
-        return [(start,)]
+        yield (start,)
+        return
     successors: dict[int, list[int]] = {}
     for u, v in remaining:
         successors.setdefault(u, []).append(v)
     for targets in successors.values():
         targets.sort()
 
-    trails: list[Trail] = []
     path = [start]
     # One frame per path position: an iterator over candidate next vertices.
     frames = [iter(successors.get(start, ()))]
@@ -46,23 +48,16 @@ def enumerate_trails(
             if left:
                 frames.append(iter(successors.get(nxt, ())))
                 break
-            trails.append(tuple(path))
+            yield tuple(path)
             path.pop()
             remaining[arc] += 1
             left += 1
-            if limit is not None and len(trails) >= limit:
-                return trails
         else:
             frames.pop()
             if frames:
                 nxt = path.pop()
                 remaining[(path[-1], nxt)] += 1
                 left += 1
-    return trails
-
-
-def count_trails(graph: Multigraph, start: int) -> int:
-    return len(enumerate_trails(graph, start))
 
 
 def is_unique_trail(trail: Trail) -> bool:
@@ -74,7 +69,7 @@ def is_unique_trail(trail: Trail) -> bool:
     if not trail:
         return True
     size = max(trail) + 1
-    found = enumerate_trails(induced_graph(trail, size), trail[0], limit=2)
+    found = list(itertools.islice(enumerate_trails(induced_graph(trail, size), trail[0]), 2))
     if len(found) == 1 and found[0] != trail:
         raise RuntimeError("enumeration lost the defining trail; arc bookkeeping is broken")
     return len(found) == 1

@@ -77,25 +77,39 @@ def is_proper(trail: Trail, site: TranspositionSite) -> bool:
     return trail[first + 1] != trail[second + 1]
 
 
-def has_proper_transposition(trail: Trail) -> bool:
-    """Direct scan: does any proper transposition rearrange this trail?
+def find_proper_site(trail: Trail) -> TranspositionSite | None:
+    """A proper site of the trail, or None when the trail is unique; O(n²).
 
-    Equivalent condition on the raw sequence: two occurrences of a vertex
-    with distinct followers, where some vertex seen up to (and including)
-    the first occurrence-window recurs after the second.  Quadratic scan
-    with a running latest-occurrence bound.
+    Quadratic scan for two occurrences ``i < j`` of a vertex with distinct
+    followers such that some position ``via`` in ``[i, j)`` holds a vertex
+    whose last occurrence ``reach`` lies after ``j``.  The scan takes the
+    first such ``i``, then the first ``j``, and as ``via`` the first
+    position in ``[i, j)`` whose vertex recurs latest.  It returns
+    ``OneAnchor(i, j, reach)`` when ``via == i`` and
+    ``TwoAnchors(i, via, j, reach)`` otherwise.
+
+    Every index the site names, followers included, lies inside the trail
+    it was given.  Given the shortest rejected prefix of a line, as
+    ``check --explain`` does, the site is a proper site of the whole line,
+    and the scan's cost does not grow with the rest of the line.
     """
     n = len(trail)
     last_seen = {}
     for idx, symbol in enumerate(trail):
         last_seen[symbol] = idx
     for i in range(n):
-        window_recurs = -1
+        reach, via = -1, i
         for j in range(i + 1, n - 1):
-            window_recurs = max(window_recurs, last_seen[trail[j - 1]])
-            if trail[j] == trail[i] and trail[i + 1] != trail[j + 1] and window_recurs > j:
-                return True
-    return False
+            if last_seen[trail[j - 1]] > reach:
+                reach, via = last_seen[trail[j - 1]], j - 1
+            if trail[j] == trail[i] and trail[i + 1] != trail[j + 1] and reach > j:
+                return OneAnchor(i, j, reach) if via == i else TwoAnchors(i, via, j, reach)
+    return None
+
+
+def has_proper_transposition(trail: Trail) -> bool:
+    """Does any proper transposition rearrange this trail?"""
+    return find_proper_site(trail) is not None
 
 
 def _two_anchor_sites(trail: Trail):
@@ -122,17 +136,12 @@ def _one_anchor_sites(trail: Trail):
 
 
 def all_sites(trail: Trail):
-    """Every well-formed site, two-anchor shapes first, lexicographic."""
+    """Every well-formed site, two-anchor shapes first, lexicographic.
+
+    O(n⁴): the reference that tests hold ``find_proper_site`` to.
+    """
     yield from _two_anchor_sites(trail)
     yield from _one_anchor_sites(trail)
-
-
-def find_proper_site(trail: Trail) -> TranspositionSite | None:
-    """First proper site in ``all_sites`` order, or None for unique trails."""
-    for site in all_sites(trail):
-        if is_proper(trail, site):
-            return site
-    return None
 
 
 def _shift_improper(trail: Trail, site: TranspositionSite) -> TranspositionSite:

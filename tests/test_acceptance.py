@@ -163,4 +163,4 @@ def test_criterion_7_worked_example():
     site = TwoAnchors(0, 3, 4, 5)
     assert apply_transposition(word, site) == word
     assert not is_proper(word, site)
-    assert enumerate_trails(induced_graph(word, 2), 0) == [word]
+    assert list(enumerate_trails(induced_graph(word, 2), 0)) == [word]

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import select
@@ -141,6 +142,35 @@ def test_check_answers_each_line_before_the_input_ends():
         proc.wait()
         proc.stdout.close()
         proc.stderr.close()
+
+
+def test_check_explain_cost_does_not_grow_with_the_tail():
+    # cycles of 3, 4, 5, 6 and 8 fresh tokens, each about 40 symbols long,
+    # left through an exit path and re-entered: rejected at the last of
+    # some 210 symbols, then 4,000 fresh tokens that only need checking
+    names = (f"t{n}" for n in itertools.count())
+    line = []
+    for k in (3, 4, 5, 6, 8):
+        cycle = [next(names) for _ in range(k)]
+        line += cycle * round(40 / k) + [cycle[0]]
+    line += [next(names) for _ in range(4)] + [cycle[0]]
+    rejected_at = len(line)
+    line += [next(names) for _ in range(4000)]
+    proc = start_cli(["check", "--tokens", "--explain"])
+    try:
+        out, _ = proc.communicate((" ".join(line) + "\n").encode(), timeout=5)
+    finally:
+        proc.kill()
+        proc.wait()
+    record = parse_plain_check_line(out.decode().rstrip("\n"))
+    assert record["verdict"] == "NONUNIQUE"
+    assert record["first_rejection"] == rejected_at
+    witness = record["witness"]
+    assert witness["site"].startswith(("one_anchor(", "two_anchors("))
+    alt = witness["alt"].split()
+    assert alt != line and alt[0] == line[0]
+    assert sorted(zip(alt, alt[1:])) == sorted(zip(line, line[1:]))
+    assert alt[rejected_at:] == line[rejected_at:]
 
 
 def test_check_rejects_undecodable_bytes_in_a_file(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,6 @@ from unitrail.core import (
     induced_graph,
     parse_trail,
     reverse_trail,
-    tokens_alphabet,
 )
 
 trails = st.lists(st.integers(0, 3), max_size=12).map(tuple)
@@ -34,13 +33,6 @@ def test_parse_tokens():
     assert alphabet.names == ("0", "10")
 
 
-def test_parse_fixed_alphabet_rejects_unknown_token():
-    fixed = chars_alphabet(2)
-    assert parse_trail("0010", alphabet=fixed)[0] == (0, 0, 1, 0)
-    with pytest.raises(TrailParseError):
-        parse_trail("012", alphabet=fixed)
-
-
 def test_parse_chars_rejects_inner_whitespace():
     with pytest.raises(TrailParseError):
         parse_trail("a b")
@@ -51,7 +43,7 @@ def test_alphabet_validation():
         Alphabet(2, ("a", "a"))
     with pytest.raises(ValueError):
         Alphabet(2, ("a",))
-    assert tokens_alphabet(3).names == ("0", "1", "2")
+    assert chars_alphabet(3).names == ("0", "1", "2")
 
 
 def test_induced_graph_counts_consecutive_pairs():
@@ -79,8 +71,9 @@ def test_multigraph_is_immutable_and_hashable():
         h.arc_multiplicity[(0, 1)] = 5
     assert h.arc_multiplicity == {(0, 1): 1, (1, 0): 1}
     assert hash(h) == hash(induced_graph((0, 1, 0), 2))
-    # h.reversed() holds the same arcs inserted in the other order
-    assert len({h, induced_graph((0, 1, 0), 2), h.reversed(), g}) == 2
+    # the same arcs inserted in the other order make an equal graph
+    flipped = Multigraph(2, {(v, u): k for (u, v), k in h.arc_multiplicity.items()})
+    assert len({h, induced_graph((0, 1, 0), 2), flipped, g}) == 2
 
 
 def test_induced_graph_rejects_empty_trail():
@@ -109,7 +102,7 @@ def test_reverse_flips_every_arc(trail):
     size = max(trail) + 1
     forward = induced_graph(trail, size)
     backward = induced_graph(reverse_trail(trail), size)
-    assert backward == forward.reversed()
+    assert backward == Multigraph(size, {(v, u): k for (u, v), k in forward.arc_multiplicity.items()})
     assert backward.arc_count == forward.arc_count
 
 

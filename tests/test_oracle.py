@@ -1,39 +1,53 @@
+import inspect
+import itertools
+
 import pytest
 
 from unitrail.core import Multigraph, induced_graph, reverse_trail
-from unitrail.oracle import count_trails, enumerate_trails, is_unique_trail
+from unitrail.oracle import enumerate_trails, is_unique_trail
 
 from conftest import all_strings
 
 
 def test_enumerates_both_trails_of_0010():
     g = induced_graph((0, 0, 1, 0), 2)
-    assert enumerate_trails(g, 0) == [(0, 0, 1, 0), (0, 1, 0, 0)]
+    assert list(enumerate_trails(g, 0)) == [(0, 0, 1, 0), (0, 1, 0, 0)]
 
 
 def test_unique_trail_of_ababab():
     g = induced_graph((0, 1, 0, 1, 0, 1), 2)
-    assert enumerate_trails(g, 0) == [(0, 1, 0, 1, 0, 1)]
+    assert list(enumerate_trails(g, 0)) == [(0, 1, 0, 1, 0, 1)]
 
 
 def test_zero_arc_graph_has_the_trivial_walk():
-    assert enumerate_trails(Multigraph(3, {}), 0) == [(0,)]
+    assert list(enumerate_trails(Multigraph(3, {}), 0)) == [(0,)]
 
 
 def test_untraversable_graph_yields_nothing():
     # all arcs leave vertex 1; nothing reachable from 0
     g = Multigraph(2, {(1, 1): 2})
-    assert enumerate_trails(g, 0) == []
+    assert list(enumerate_trails(g, 0)) == []
 
 
 def test_limit_stops_early():
     g = induced_graph((0, 0, 1, 0), 2)
-    assert enumerate_trails(g, 0, limit=1) == [(0, 0, 1, 0)]
+    assert list(itertools.islice(enumerate_trails(g, 0), 1)) == [(0, 0, 1, 0)]
+    # the trails come from a generator: taking the first three of the 8!
+    # trails of 0 1 0 2 0 .. 0 8 0 searches no further than the third
+    star = induced_graph(tuple(s for v in range(1, 9) for s in (0, v)) + (0,), 9)
+    trails = enumerate_trails(star, 0)
+    assert inspect.isgenerator(trails)
+    assert list(itertools.islice(trails, 3)) == [
+        (0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8, 0),
+        (0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 8, 0, 7, 0),
+        (0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 7, 0, 6, 0, 8, 0),
+    ]
+    assert inspect.getgeneratorstate(trails) == inspect.GEN_SUSPENDED
 
 
 def test_start_must_be_a_vertex():
     with pytest.raises(ValueError):
-        enumerate_trails(Multigraph(2, {}), 2)
+        next(enumerate_trails(Multigraph(2, {}), 2))
 
 
 def test_is_unique_examples():
@@ -46,7 +60,7 @@ def test_is_unique_examples():
 def test_every_string_appears_in_its_own_enumeration():
     for word in all_strings(3, 6):
         size = max(word) + 1
-        found = enumerate_trails(induced_graph(word, size), word[0])
+        found = list(enumerate_trails(induced_graph(word, size), word[0]))
         assert word in found
         assert found == sorted(found)
         for other in found:
@@ -57,6 +71,6 @@ def test_every_string_appears_in_its_own_enumeration():
 def test_trail_count_survives_arc_reversal():
     for word in all_strings(3, 8):
         size = max(word) + 1
-        forward = count_trails(induced_graph(word, size), word[0])
+        forward = sum(1 for _ in enumerate_trails(induced_graph(word, size), word[0]))
         backward_graph = induced_graph(reverse_trail(word), size)
-        assert forward == count_trails(backward_graph, word[-1])
+        assert forward == sum(1 for _ in enumerate_trails(backward_graph, word[-1]))

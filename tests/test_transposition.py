@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unitrail import transposition
+from unitrail.automaton import run
 from unitrail.core import induced_graph
 from unitrail.oracle import is_unique_trail
 from unitrail.transposition import (
@@ -150,9 +151,27 @@ def test_witness_agrees_with_scan_and_oracle_small_scale():
 
 
 def test_witness_presence_matches_scan_at_full_range():
+    # the quadratic scan against the quartic reference: every site, tested
     for size, max_len in ((2, 12), (3, 9)):
         for word in all_strings(size, max_len):
-            assert (find_proper_site(word) is not None) == has_proper_transposition(word), word
+            reference = any(is_proper(word, site) for site in all_sites(word))
+            assert has_proper_transposition(word) == reference, word
+
+
+def test_prefix_witness_is_a_proper_site_of_the_whole_word():
+    # what check --explain shows: the site found in the shortest rejected
+    # prefix w[:r] is proper in w, and no shorter prefix has one
+    for size, max_len in ((2, 12), (3, 9)):
+        for word in all_strings(size, max_len):
+            r = run(word, size).first_rejection
+            if r is None:
+                continue
+            site = find_proper_site(word[:r])
+            assert site is not None and is_proper(word, site), word
+            other = apply_transposition(word, site)
+            assert other != word
+            assert induced_graph(other, size) == induced_graph(word, size)
+            assert find_proper_site(word[: r - 1]) is None, word
 
 
 def test_segments_reassemble_the_trail():
