@@ -13,7 +13,7 @@ from .core import (
 )
 from .grammar import GrammarNFA, build_grammar_nfa, export_transitions, nfa_accepts
 from .harness import CrosscheckReport, cross_validate
-from .mfw import brute_mfw, constructive_mfw, matches_binary_mfw
+from .mfw import brute_mfw, constructive_mfw
 from .oracle import enumerate_trails, is_unique_trail
 from .transposition import (
     OneAnchor,
@@ -56,7 +56,6 @@ __all__ = [
     "is_accepting",
     "is_proper",
     "is_unique_trail",
-    "matches_binary_mfw",
     "nfa_accepts",
     "parse_trail",
     "properize",

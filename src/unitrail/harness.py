@@ -34,10 +34,6 @@ class CrosscheckReport:
     strict_gaps: list = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def agreed(self) -> bool:
-        return not self.disagreements and not self.strict_unsound
-
 
 def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     """Check all strings of length 1..max_len over ``size`` symbols."""

@@ -5,3 +5,20 @@ def all_strings(size, max_len, min_len=1):
     """Every tuple over 0..size-1 with min_len <= length <= max_len."""
     for length in range(min_len, max_len + 1):
         yield from itertools.product(range(size), repeat=length)
+
+
+def matches_binary_mfw(trail):
+    """Membership in the four binary families, checked by direct scan."""
+    for symbol in trail:
+        if symbol not in (0, 1):
+            raise ValueError(f"symbol {symbol} is not binary")
+    n = len(trail)
+    if n < 4:
+        return False
+    for c in (0, 1):
+        run_part = (1 - c,) * (n - 3)
+        if trail == (c, c) + run_part + (c,):
+            return True
+        if trail == (c,) + run_part + (c, c):
+            return True
+    return False

@@ -14,7 +14,7 @@ from unitrail.automaton import run
 from unitrail.cli import main
 from unitrail.core import induced_graph, reverse_trail
 from unitrail.harness import cross_validate
-from unitrail.mfw import brute_mfw, constructive_mfw, matches_binary_mfw
+from unitrail.mfw import brute_mfw, constructive_mfw
 from unitrail.oracle import enumerate_trails
 from unitrail.transposition import (
     TwoAnchors,
@@ -25,7 +25,7 @@ from unitrail.transposition import (
     properize,
 )
 
-from conftest import all_strings
+from conftest import all_strings, matches_binary_mfw
 
 UNIVERSES = ((2, 12), (3, 9), (4, 7))
 EXPECTED_COUNTS = {2: 8190, 3: 29523, 4: 21844}

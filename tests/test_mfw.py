@@ -1,9 +1,12 @@
+import itertools
+import time
+
 import pytest
 
 from unitrail.automaton import run
-from unitrail.mfw import brute_mfw, constructive_mfw, matches_binary_mfw
+from unitrail.mfw import _accepted_words, brute_mfw, constructive_mfw
 
-from conftest import all_strings
+from conftest import all_strings, matches_binary_mfw
 
 BINARY_LEN4 = [(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 1, 1), (1, 1, 0, 1)]
 
@@ -41,9 +44,47 @@ def test_binary_has_four_words_per_length():
         assert sum(len(w) == length for w in words) == 4
 
 
+def scanned_mfw(size, max_len):
+    """Every string up to max_len, kept when rejected with both maximal factors accepted."""
+    return sorted(
+        word
+        for word in all_strings(size, max_len)
+        if not run(word, size).accepted
+        and run(word[1:], size).accepted
+        and run(word[:-1], size).accepted
+    )
+
+
+@pytest.mark.parametrize("size, max_len", [(1, 8), (2, 12), (3, 8), (4, 6), (2, 0), (4, 0)])
+def test_walk_matches_full_scan(size, max_len):
+    assert brute_mfw(size, max_len) == scanned_mfw(size, max_len)
+
+
+@pytest.mark.parametrize("symbols, max_len", [([0, 1], 9), ([1, 2, 3], 6), ([0, 2], 0), ([0, 2], -1)])
+def test_accepted_pool_matches_full_scan(symbols, max_len):
+    # constructive_mfw's filler pool over the symbols other than the
+    # anchors; a negative length budget leaves it empty, not [()]
+    scanned = [
+        word
+        for length in range(max_len + 1)
+        for word in itertools.product(symbols, repeat=length)
+        if run(word, 4).accepted
+    ]
+    assert _accepted_words(symbols, max_len, 4) == scanned
+
+
 def test_generators_agree():
-    for size, max_len in ((2, 12), (3, 9), (4, 7)):
+    for size, max_len in ((2, 12), (3, 9), (4, 7), (3, 11), (4, 8)):
         assert constructive_mfw(size, max_len) == brute_mfw(size, max_len)
+
+
+def test_walk_scales_with_the_accepted_language():
+    # 265,719 strings up to length 11 over 3 symbols, 2,595 of them accepted
+    begin = time.perf_counter()
+    words = brute_mfw(3, 11)
+    elapsed = time.perf_counter() - begin
+    assert len(words) == 816
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
 def test_constructive_words_are_minimal():

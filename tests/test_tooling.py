@@ -1,4 +1,8 @@
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -13,3 +17,24 @@ def test_every_layer_the_benchmark_tracer_wraps_exists():
     assert tracer.WRAPPED
     for module, attr, *_ in tracer.WRAPPED:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_traced_mfw_calls_every_layer_its_workload_requires():
+    # the mfw workload's traced run needs the automaton span inside the
+    # generators; a generator that stops calling run would fail only there
+    root = TRACER.parents[1]
+    path = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = ["mfw", "--alphabet-size", "2", "--max-len", "6"]
+    for method, layers in (
+        ("both", ("automaton.run", "mfw.brute_mfw", "mfw.constructive_mfw")),
+        ("brute", ("automaton.run", "mfw.brute_mfw")),
+    ):
+        done = subprocess.run(
+            [sys.executable, str(TRACER), *argv, "--method", method],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        traced = json.loads(done.stdout)
+        assert traced["exit"] == 0
+        for layer in layers:
+            assert traced["calls"].get(layer, 0) >= 1, (method, layer)
