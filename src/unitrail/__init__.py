@@ -1,6 +1,6 @@
 """Streaming uniqueness checks for Eulerian trails of trail-induced multigraphs."""
 
-from .automaton import AutomatonState, Verdict, init_state, is_accepting, run, step_inplace
+from .automaton import AutomatonState, Verdict, advance, init_state, is_accepting, run
 from .core import (
     Alphabet,
     Multigraph,
@@ -9,7 +9,6 @@ from .core import (
     chars_alphabet,
     induced_graph,
     parse_trail,
-    reverse_trail,
 )
 from .grammar import GrammarNFA, build_grammar_nfa, export_transitions, nfa_accepts
 from .harness import CrosscheckReport, cross_validate
@@ -41,6 +40,7 @@ __all__ = [
     "TranspositionSite",
     "TwoAnchors",
     "Verdict",
+    "advance",
     "apply_transposition",
     "brute_mfw",
     "build_grammar_nfa",
@@ -59,8 +59,6 @@ __all__ = [
     "nfa_accepts",
     "parse_trail",
     "properize",
-    "reverse_trail",
     "run",
     "segments",
-    "step_inplace",
 ]

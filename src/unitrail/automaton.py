@@ -7,8 +7,10 @@ color per vertex.  A vertex turns black once it sits on a committed cycle;
 when a black vertex is entered again the whole table blackens, which is the
 absorbing dead state.  Acceptance = at least one vertex still white.  A step
 leaves every vertex black exactly when the vertex it enters is black, so
-:func:`run` decides on that one colour and notices a rejection on the exact
-symbol that causes it, without scanning the table.
+:func:`advance`, the one loop that feeds symbols to a state, decides on
+that one colour and stops on the exact symbol that causes a rejection,
+without scanning the table.  :func:`run` feeds a whole trail to a fresh
+state.
 """
 
 from dataclasses import dataclass
@@ -23,18 +25,14 @@ BLACK = True
 class AutomatonState:
     """Mutable machine state for one input stream.
 
-    ``last`` is the previously consumed vertex, or ``size`` (the virtual
-    start marker) before any input.  ``follower`` has one slot per vertex
+    ``last`` is the previously consumed vertex, or the alphabet size (the
+    virtual start marker) before any input.  ``follower`` has one slot per vertex
     plus one for the start marker; ``None`` means "nothing followed yet".
     """
 
     last: int
     follower: list[int | None]
     black: list[bool]
-
-    @property
-    def size(self) -> int:
-        return len(self.black)
 
 
 @dataclass(frozen=True)
@@ -60,38 +58,54 @@ def init_state(size: int) -> AutomatonState:
     return AutomatonState(last=size, follower=[None] * (size + 1), black=[WHITE] * size)
 
 
-def step_inplace(state: AutomatonState, symbol: int) -> None:
-    """Advance the state by one input vertex, mutating it.
+def advance(state: AutomatonState, trail: Trail) -> int | None:
+    """Feed the symbols of ``trail`` to the state in order, mutating it.
 
-    Phase order matters and is: (1) if the last vertex already has a
-    follower and it differs from the new symbol, blacken the cycle closed
-    by the follower chain; (2) if the new symbol is already black, blacken
-    everything; (3) record the new follower; (4) move to the new symbol.
+    Each symbol is one step, whose phase order matters: (1) if the last
+    vertex already has a follower and it differs from the new symbol,
+    blacken the cycle closed by the follower chain; (2) if the new symbol
+    is already black, blacken everything; (3) record the new follower;
+    (4) move to the new symbol.  Returns the number of symbols consumed at
+    the first step that enters a black vertex, after finishing that step,
+    or ``None`` when no step does.  A symbol outside the alphabet raises
+    ``ValueError`` and leaves the state as the symbols before it left it.
     """
-    size = state.size
-    if not 0 <= symbol < size:
-        raise ValueError(f"symbol {symbol} out of range for alphabet size {size}")
+    follower = state.follower
+    black = state.black
+    size = len(black)
     prev = state.last
-    chained = state.follower[prev]
-    if chained is not None and chained != symbol:
-        # The chain leaves prev and must return to it; a well-formed state
-        # gets back within `size` hops.
-        vertex = prev
-        hops = 0
-        while True:
-            if vertex is None or not 0 <= vertex < size:
-                raise RuntimeError("latest-follower chain escapes the vertex set")
-            state.black[vertex] = BLACK
-            vertex = state.follower[vertex]
-            hops += 1
-            if hops > size:
-                raise RuntimeError("latest-follower chain does not cycle back")
-            if vertex == prev:
-                break
-    if state.black[symbol]:
-        state.black[:] = [BLACK] * size
-    state.follower[prev] = symbol
-    state.last = symbol
+    # `prev` stands for `state.last` while the loop runs; it is stored back
+    # however the loop ends, a raised error included.
+    try:
+        for consumed, symbol in enumerate(trail, start=1):
+            if not 0 <= symbol < size:
+                raise ValueError(f"symbol {symbol} out of range for alphabet size {size}")
+            chained = follower[prev]
+            if chained is not None and chained != symbol:
+                # The chain leaves prev and must return to it; a well-formed
+                # state gets back within `size` hops.
+                vertex = prev
+                hops = 0
+                while True:
+                    if vertex is None or not 0 <= vertex < size:
+                        raise RuntimeError("latest-follower chain escapes the vertex set")
+                    black[vertex] = BLACK
+                    vertex = follower[vertex]
+                    hops += 1
+                    if hops > size:
+                        raise RuntimeError("latest-follower chain does not cycle back")
+                    if vertex == prev:
+                        break
+            if black[symbol]:
+                black[:] = [BLACK] * size
+                follower[prev] = symbol
+                prev = symbol
+                return consumed
+            follower[prev] = symbol
+            prev = symbol
+        return None
+    finally:
+        state.last = prev
 
 
 def is_accepting(state: AutomatonState) -> bool:
@@ -102,21 +116,17 @@ def is_accepting(state: AutomatonState) -> bool:
 def run(trail: Trail, size: int) -> Verdict:
     """Feed a trail through the machine and report the verdict.
 
-    One pass over the input; stops at the first non-accepting prefix (the
-    dead state is absorbing, so nothing later can recover).  A step ends
-    non-accepting exactly when the vertex it entered is black: phase 2 of
-    :func:`step_inplace` blackens the whole table in that case, phases 3
-    and 4 change no colour, and a chain walk that blackens every vertex
-    blackens the entered one too.  The empty trail is accepted, even over
-    an empty alphabet.
+    One pass of :func:`advance` over the input from a fresh state; it stops
+    at the first non-accepting prefix (the dead state is absorbing, so
+    nothing later can recover).  A step ends non-accepting exactly when
+    the vertex it entered is black: phase 2 of the step blackens the whole
+    table in that case, phases 3 and 4 change no colour, and a chain walk
+    that blackens every vertex blackens the entered one too.  The empty
+    trail is accepted, even over an empty alphabet.
     """
     if size == 0:
         if trail:
             raise ValueError("nonempty trail over an empty alphabet")
         return Verdict(accepted=True)
-    state = init_state(size)
-    for consumed, symbol in enumerate(trail, start=1):
-        step_inplace(state, symbol)
-        if state.black[symbol]:
-            return Verdict(accepted=False, first_rejection=consumed)
-    return Verdict(accepted=True)
+    consumed = advance(init_state(size), trail)
+    return Verdict(accepted=consumed is None, first_rejection=consumed)

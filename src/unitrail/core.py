@@ -58,12 +58,8 @@ def parse_trail(text: str, tokens: bool = False) -> tuple[Trail, Alphabet]:
     if not tokens and any(p.isspace() for p in pieces):
         raise TrailParseError("whitespace is not a symbol in chars mode")
     ids: dict[str, int] = {}
-    symbols = []
-    for piece in pieces:
-        if not piece:
-            raise TrailParseError("empty token")
-        symbols.append(ids.setdefault(piece, len(ids)))
-    return tuple(symbols), Alphabet(len(ids), tuple(ids))
+    trail = tuple([ids.setdefault(piece, len(ids)) for piece in pieces])
+    return trail, Alphabet(len(ids), tuple(ids))
 
 
 def validate_trail(trail: Trail, size: int) -> None:
@@ -110,8 +106,3 @@ def induced_graph(trail: Trail, size: int) -> Multigraph:
     for u, v in zip(trail, trail[1:]):
         arcs[(u, v)] = arcs.get((u, v), 0) + 1
     return Multigraph(size, arcs)
-
-
-def reverse_trail(trail: Trail) -> Trail:
-    """Reverse the symbol sequence; the induced graph gets every arc flipped."""
-    return trail[::-1]

@@ -12,7 +12,7 @@ import pytest
 
 from unitrail.automaton import run
 from unitrail.cli import main
-from unitrail.core import induced_graph, reverse_trail
+from unitrail.core import induced_graph
 from unitrail.harness import cross_validate
 from unitrail.mfw import brute_mfw, constructive_mfw
 from unitrail.oracle import enumerate_trails
@@ -140,7 +140,7 @@ def test_criterion_6_closure(m2_verdicts):
     # an accepted run has no rejected prefix
     accepted = {word for word, verdict in m2_verdicts.items() if verdict.accepted}
     for word, verdict in m2_verdicts.items():
-        assert verdict.accepted == m2_verdicts[reverse_trail(word)].accepted, word
+        assert verdict.accepted == m2_verdicts[word[::-1]].accepted, word
         if verdict.accepted:
             for start in range(1, len(word)):
                 assert word[start:] in accepted, (word, start)
@@ -149,7 +149,7 @@ def test_criterion_6_closure(m2_verdicts):
     for _ in range(10_000):
         word = tuple(rng.randrange(5) for _ in range(rng.randint(0, 40)))
         verdict = run(word, 5)
-        assert verdict.accepted == run(reverse_trail(word), 5).accepted, word
+        assert verdict.accepted == run(word[::-1], 5).accepted, word
         if verdict.accepted:
             for start in range(1, len(word)):
                 assert run(word[start:], 5).accepted, (word, start)

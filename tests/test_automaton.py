@@ -9,10 +9,10 @@ from unitrail.automaton import (
     WHITE,
     AutomatonState,
     Verdict,
+    advance,
     init_state,
     is_accepting,
     run,
-    step_inplace,
 )
 from unitrail.oracle import is_unique_trail
 
@@ -20,9 +20,10 @@ from conftest import all_strings
 
 
 def feed(symbols, size):
+    # one symbol per call, so the state keeps stepping past a rejection
     state = init_state(size)
     for symbol in symbols:
-        step_inplace(state, symbol)
+        advance(state, (symbol,))
     return state
 
 
@@ -52,7 +53,7 @@ def test_step_trace_001():
 
 def test_step_after_001_with_1_stays_alive():
     state = feed((0, 0, 1), 2)
-    step_inplace(state, 1)
+    assert advance(state, (1,)) is None
     assert state.black == [BLACK, WHITE]
     assert is_accepting(state)
     assert run((0, 0, 1, 1), 2).accepted
@@ -60,7 +61,7 @@ def test_step_after_001_with_1_stays_alive():
 
 def test_step_after_001_with_0_dies():
     state = feed((0, 0, 1), 2)
-    step_inplace(state, 0)
+    assert advance(state, (0,)) == 1
     assert state.black == [BLACK, BLACK]
     assert not is_accepting(state)
 
@@ -70,13 +71,23 @@ def test_step_trace_01020():
     # 0 and 1 before the fifth symbol trips the dead state
     state = feed((0, 1, 0, 2), 3)
     assert state.black == [BLACK, BLACK, WHITE]
-    step_inplace(state, 0)
+    advance(state, (0,))
     assert state.black == [BLACK, BLACK, BLACK]
 
 
 def test_step_rejects_out_of_range_symbol():
-    with pytest.raises(ValueError):
-        step_inplace(init_state(2), 2)
+    with pytest.raises(ValueError, match="symbol 2 out of range for alphabet size 2"):
+        advance(init_state(2), (2,))
+
+
+def test_advance_stops_at_a_bad_symbol_mid_trail():
+    # the symbols before the bad one are fed, none after it
+    state = init_state(2)
+    with pytest.raises(ValueError, match="symbol 5 out of range for alphabet size 2"):
+        advance(state, (0, 1, 5))
+    before = init_state(2)
+    assert advance(before, (0, 1)) is None
+    assert state == before
 
 
 def test_run_examples():
@@ -105,7 +116,7 @@ def test_colors_are_monotone(symbols):
     state = init_state(3)
     for symbol in symbols:
         before = list(state.black)
-        step_inplace(state, symbol)
+        advance(state, (symbol,))
         assert all(now or not was for was, now in zip(before, state.black))
 
 
@@ -113,11 +124,11 @@ def test_colors_are_monotone(symbols):
 def test_dead_state_is_absorbing(symbols, extra):
     state = init_state(3)
     for symbol in symbols:
-        step_inplace(state, symbol)
+        advance(state, (symbol,))
     if is_accepting(state):
         return
     for symbol in extra:
-        step_inplace(state, symbol)
+        advance(state, (symbol,))
         assert state.black == [BLACK, BLACK, BLACK]
         assert not is_accepting(state)
 
@@ -149,7 +160,7 @@ def test_streaming_immediacy_small_scale():
 def test_follower_chain_guard_trips_on_corrupt_state():
     broken = AutomatonState(last=0, follower=[1, None, None], black=[WHITE, WHITE])
     with pytest.raises(RuntimeError):
-        step_inplace(broken, 0)
+        advance(broken, (0,))
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=16))
@@ -160,7 +171,7 @@ def test_follower_chain_from_last_vertex_cycles_back(symbols):
     vertex = state.follower[state.last]
     if vertex is None:
         return
-    for _ in range(state.size):
+    for _ in range(len(state.black)):
         if vertex == state.last:
             return
         vertex = state.follower[vertex]
@@ -170,7 +181,7 @@ def test_follower_chain_from_last_vertex_cycles_back(symbols):
 def first_non_accepting_step(word, size):
     state = init_state(size)
     for consumed, symbol in enumerate(word, start=1):
-        step_inplace(state, symbol)
+        advance(state, (symbol,))
         if not is_accepting(state):
             return consumed
     return None
@@ -183,6 +194,28 @@ def test_run_rejects_where_the_state_stops_accepting():
         for word in all_strings(size, 8):
             for padded in (size, size + 2):
                 assert run(word, padded).first_rejection == first_non_accepting_step(word, padded), (word, padded)
+
+
+def state_of(state):
+    return state.last, list(state.follower), list(state.black)
+
+
+def test_advance_is_split_invariant():
+    # one call over the whole trail leaves the state that one call per
+    # symbol leaves, up to and including the rejecting step
+    for size in (1, 2, 3):
+        for word in all_strings(size, 8):
+            for padded in (size, size + 2):
+                whole = init_state(padded)
+                consumed = advance(whole, word)
+                stepped = init_state(padded)
+                count = None
+                for position, symbol in enumerate(word, start=1):
+                    if advance(stepped, (symbol,)) is not None:
+                        count = position
+                        break
+                assert consumed == count == run(word, padded).first_rejection, (word, padded)
+                assert state_of(whole) == state_of(stepped), (word, padded)
 
 
 def test_doubled_trail_is_accepted_in_linear_time():
@@ -211,7 +244,7 @@ def assert_at_most_one_hop_per_symbol(symbols, size):
     state = init_state(size)
     state.follower = CountingList(state.follower)
     for consumed, symbol in enumerate(symbols, start=1):
-        step_inplace(state, symbol)
+        advance(state, (symbol,))
         hops = state.follower.reads - consumed
         assert hops <= consumed, (symbols[:consumed], hops)
     assert is_accepting(state)
@@ -236,13 +269,13 @@ def accepted_walks(draw):
         alive = []
         for symbol in range(size):
             trial = AutomatonState(state.last, list(state.follower), list(state.black))
-            step_inplace(trial, symbol)
+            advance(trial, (symbol,))
             if is_accepting(trial):
                 alive.append(symbol)
         if not alive:
             break
         symbol = draw(st.sampled_from(alive))
-        step_inplace(state, symbol)
+        advance(state, (symbol,))
         walk.append(symbol)
     return size, tuple(walk)
 

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from unitrail.core import Multigraph, induced_graph, reverse_trail
+from unitrail.core import Multigraph, induced_graph
 from unitrail.oracle import enumerate_trails, is_unique_trail
 
 from conftest import all_strings
@@ -72,5 +72,5 @@ def test_trail_count_survives_arc_reversal():
     for word in all_strings(3, 8):
         size = max(word) + 1
         forward = sum(1 for _ in enumerate_trails(induced_graph(word, size), word[0]))
-        backward_graph = induced_graph(reverse_trail(word), size)
+        backward_graph = induced_graph(word[::-1], size)
         assert forward == sum(1 for _ in enumerate_trails(backward_graph, word[-1]))

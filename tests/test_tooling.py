@@ -19,22 +19,43 @@ def test_every_layer_the_benchmark_tracer_wraps_exists():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-def test_traced_mfw_calls_every_layer_its_workload_requires():
-    # the mfw workload's traced run needs the automaton span inside the
-    # generators; a generator that stops calling run would fail only there
+def traced_calls(argv):
+    """Run one command under the benchmark tracer; return its call counts."""
     root = TRACER.parents[1]
     path = [str(root / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run(
+        [sys.executable, str(TRACER), *argv],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    traced = json.loads(done.stdout)
+    assert traced["exit"] == 0
+    return traced["calls"]
+
+
+def test_traced_mfw_calls_every_layer_its_workload_requires():
+    # the mfw workload's traced run needs the automaton span inside the
+    # generators; a generator that stops calling run would fail only there
     argv = ["mfw", "--alphabet-size", "2", "--max-len", "6"]
     for method, layers in (
         ("both", ("automaton.run", "mfw.brute_mfw", "mfw.constructive_mfw")),
         ("brute", ("automaton.run", "mfw.brute_mfw")),
     ):
-        done = subprocess.run(
-            [sys.executable, str(TRACER), *argv, "--method", method],
-            capture_output=True, text=True, env=env, timeout=60, check=True,
-        )
-        traced = json.loads(done.stdout)
-        assert traced["exit"] == 0
+        calls = traced_calls([*argv, "--method", method])
         for layer in layers:
-            assert traced["calls"].get(layer, 0) >= 1, (method, layer)
+            assert calls.get(layer, 0) >= 1, (method, layer)
+
+
+def test_traced_check_calls_every_layer_its_workloads_require(tmp_path):
+    # check-stream needs the parse and automaton spans, check-explain also
+    # the witness and its image; a check path that stops calling one of
+    # those names would fail only when the benchmark runs
+    lines = tmp_path / "lines.txt"
+    lines.write_text("a a b a\nx y x y\n", encoding="utf-8")
+    argv = ["check", "--tokens", str(lines)]
+    stream = ("core.parse_trail", "automaton.run")
+    explain = stream + ("transposition.find_proper_site", "transposition.apply_transposition")
+    for extra, layers in (((), stream), (("--explain",), explain)):
+        calls = traced_calls([*argv, *extra])
+        for layer in layers:
+            assert calls.get(layer, 0) >= 1, (extra, layer)
