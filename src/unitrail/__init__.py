@@ -10,7 +10,7 @@ from .core import (
     induced_graph,
     parse_trail,
 )
-from .grammar import GrammarNFA, build_grammar_nfa, export_transitions, nfa_accepts
+from .grammar import GrammarNFA, build_grammar_nfa, nfa_accepts
 from .harness import CrosscheckReport, cross_validate
 from .mfw import brute_mfw, constructive_mfw
 from .oracle import enumerate_trails, is_unique_trail
@@ -48,7 +48,6 @@ __all__ = [
     "constructive_mfw",
     "cross_validate",
     "enumerate_trails",
-    "export_transitions",
     "find_proper_site",
     "has_proper_transposition",
     "induced_graph",

@@ -13,7 +13,7 @@ without scanning the table.  :func:`run` feeds a whole trail to a fresh
 state.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Trail
 
@@ -21,41 +21,63 @@ WHITE = False
 BLACK = True
 
 
-@dataclass
 class AutomatonState:
     """Mutable machine state for one input stream.
 
     ``last`` is the previously consumed vertex, or the alphabet size (the
     virtual start marker) before any input.  ``follower`` has one slot per vertex
     plus one for the start marker; ``None`` means "nothing followed yet".
+    States compare equal when all three fields do.
     """
 
-    last: int
-    follower: list[int | None]
-    black: list[bool]
+    __slots__ = ("last", "follower", "black")
+
+    def __init__(self, last: int, follower: list[int | None], black: list[bool]):
+        self.last = last
+        self.follower = follower
+        self.black = black
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.last, self.follower, self.black) == (other.last, other.follower, other.black)
+
+    def __repr__(self) -> str:
+        return f"AutomatonState(last={self.last!r}, follower={self.follower!r}, black={self.black!r})"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
+    accepted: bool
+    first_rejection: int | None = None
+
+
+class Verdict(_VerdictFields):
     """Outcome of feeding a whole trail through the machine.
 
     ``first_rejection`` is the length of the shortest rejected prefix, so a
     consumer can stop reading as soon as uniqueness is lost.
     """
 
-    accepted: bool
-    first_rejection: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.accepted != (self.first_rejection is None):
+    def __new__(cls, accepted: bool, first_rejection: int | None = None):
+        if accepted != (first_rejection is None):
             raise ValueError("accepted verdicts carry no rejection point and vice versa")
+        # straight to tuple: the namedtuple __new__ would be a second call
+        # on run's per-word path
+        return tuple.__new__(cls, (accepted, first_rejection))
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make; keep it on the checked path
+        return cls(*fields)
 
 
 def init_state(size: int) -> AutomatonState:
     """Fresh state: virtual start marker, empty follower table, all white."""
     if size < 1:
         raise ValueError("alphabet size must be at least 1")
-    return AutomatonState(last=size, follower=[None] * (size + 1), black=[WHITE] * size)
+    return AutomatonState(size, [None] * (size + 1), [WHITE] * size)
 
 
 def advance(state: AutomatonState, trail: Trail) -> int | None:
@@ -127,6 +149,6 @@ def run(trail: Trail, size: int) -> Verdict:
     if size == 0:
         if trail:
             raise ValueError("nonempty trail over an empty alphabet")
-        return Verdict(accepted=True)
+        return Verdict(True)
     consumed = advance(init_state(size), trail)
-    return Verdict(accepted=consumed is None, first_rejection=consumed)
+    return Verdict(consumed is None, consumed)

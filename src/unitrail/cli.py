@@ -9,7 +9,6 @@ crosscheck timing summary goes to stderr.
 import argparse
 import contextlib
 import itertools
-import json
 import sys
 
 from .automaton import run
@@ -108,6 +107,8 @@ def cmd_check(args) -> int:
         source = _open_input(args.path)
     except OSError as exc:
         return _usage_error(str(exc))
+    if args.json:
+        import json  # only here, so that plain output starts without it
     with source as stream:
         for lineno, raw in enumerate(_lines(stream), start=1):
             try:

@@ -6,8 +6,8 @@ works on ids 0..m-1.
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 Trail = tuple[int, ...]
 
@@ -19,22 +19,31 @@ class TrailParseError(ValueError):
     """Input text could not be parsed into a trail."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """A set of vertices 0..size-1 together with their token names."""
-
+class _AlphabetFields(NamedTuple):
     size: int
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.size < 0:
+
+class Alphabet(_AlphabetFields):
+    """A set of vertices 0..size-1 together with their token names."""
+
+    __slots__ = ()
+
+    def __new__(cls, size: int, names: tuple[str, ...]):
+        if size < 0:
             raise ValueError("alphabet size must be non-negative")
-        if len(self.names) != self.size:
+        if len(names) != size:
             raise ValueError("need exactly one name per symbol id")
-        if len(set(self.names)) != self.size:
+        if len(set(names)) != size:
             raise ValueError("symbol names must be distinct")
-        if any(not name for name in self.names):
+        if any(not name for name in names):
             raise TrailParseError("empty token")
+        return tuple.__new__(cls, (size, names))
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make; keep it on the checked path
+        return cls(*fields)
 
     def render(self, trail: Trail, tokens: bool = False) -> str:
         sep = " " if tokens else ""
@@ -69,8 +78,12 @@ def validate_trail(trail: Trail, size: int) -> None:
             raise ValueError(f"symbol {s} out of range for alphabet size {size}")
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class _MultigraphFields(NamedTuple):
+    vertex_count: int
+    arc_multiplicity: Mapping[tuple[int, int], int]
+
+
+class Multigraph(_MultigraphFields):
     """Directed multigraph as an arc multiset over ordered vertex pairs.
 
     Self-loops and parallel arcs are permitted; vertices with no incident
@@ -78,16 +91,21 @@ class Multigraph:
     passed in, so a graph can be hashed and never changes.
     """
 
-    vertex_count: int
-    arc_multiplicity: Mapping[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "arc_multiplicity", MappingProxyType(dict(self.arc_multiplicity)))
-        for (u, v), count in self.arc_multiplicity.items():
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise ValueError(f"arc ({u}, {v}) has endpoint outside 0..{self.vertex_count - 1}")
+    def __new__(cls, vertex_count: int, arc_multiplicity: Mapping[tuple[int, int], int] = MappingProxyType({})):
+        arcs = MappingProxyType(dict(arc_multiplicity))
+        for (u, v), count in arcs.items():
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise ValueError(f"arc ({u}, {v}) has endpoint outside 0..{vertex_count - 1}")
             if count < 1:
                 raise ValueError("arc multiplicities must be positive")
+        return tuple.__new__(cls, (vertex_count, arcs))
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make; keep it on the checked path
+        return cls(*fields)
 
     def __hash__(self) -> int:
         return hash((self.vertex_count, frozenset(self.arc_multiplicity.items())))

@@ -25,8 +25,8 @@ the gap; the cross-validation harness reports the delta between the two
 instead of hiding it.
 """
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .core import Trail, validate_trail
 
@@ -35,8 +35,7 @@ START: State = ("start",)
 ACCEPT: State = ("accept",)
 
 
-@dataclass(frozen=True)
-class GrammarNFA:
+class GrammarNFA(NamedTuple):
     size: int
     mode: str
 
@@ -111,21 +110,3 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail) -> bool:
     for live in iter_live_sets(nfa, trail):
         pass
     return ACCEPT in live
-
-
-def _state_label(state: State) -> str:
-    kind, *rest = state
-    if not rest:
-        return kind
-    return f"{kind}({','.join(str(r) for r in rest)})"
-
-
-def export_transitions(nfa: GrammarNFA) -> str:
-    """Plain-text relation, one ``from symbol to`` triple per line, sorted."""
-    lines = sorted(
-        f"{_state_label(src)} {symbol} {_state_label(dst)}"
-        for src in all_states(nfa)
-        for symbol in range(nfa.size)
-        for dst in successors(nfa, src, symbol)
-    )
-    return "".join(line + "\n" for line in lines)

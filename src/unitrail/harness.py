@@ -14,7 +14,6 @@ completeness gaps rather than failures, so the delta stays visible.
 
 import itertools
 import time
-from dataclasses import dataclass, field
 
 from .automaton import run
 from .grammar import build_grammar_nfa, nfa_accepts
@@ -24,15 +23,19 @@ from .transposition import has_proper_transposition
 CLASSIFIERS = ("automaton", "oracle", "transposition-scan", "grammar-amended", "grammar-strict")
 
 
-@dataclass
 class CrosscheckReport:
-    alphabet_size: int
-    max_len: int
-    checked: int = 0
-    disagreements: list = field(default_factory=list)
-    strict_unsound: list = field(default_factory=list)
-    strict_gaps: list = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
+    """What one sweep found: the strings checked, every disagreement, the
+    strict grammar's unsound words and its completeness gaps, and the
+    seconds spent in each classifier."""
+
+    def __init__(self, alphabet_size: int, max_len: int, checked: int = 0):
+        self.alphabet_size = alphabet_size
+        self.max_len = max_len
+        self.checked = checked
+        self.disagreements: list = []
+        self.strict_unsound: list = []
+        self.strict_gaps: list = []
+        self.timings: dict[str, float] = {}
 
 
 def cross_validate(size: int, max_len: int) -> CrosscheckReport:

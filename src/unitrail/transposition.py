@@ -17,21 +17,19 @@ anchor occurrences differ; a trail is the unique Eulerian trail of its
 graph exactly when it has no proper transposition.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Trail
 
 
-@dataclass(frozen=True)
-class TwoAnchors:
+class TwoAnchors(NamedTuple):
     i: int
     p: int
     j: int
     q: int
 
 
-@dataclass(frozen=True)
-class OneAnchor:
+class OneAnchor(NamedTuple):
     i: int
     j: int
     k: int

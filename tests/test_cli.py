@@ -125,6 +125,24 @@ def test_check_keeps_earlier_verdicts_when_a_later_line_is_bad(json_out, monkeyp
         assert out == "0\tNONUNIQUE\t4\n"
 
 
+def test_check_rejects_a_bad_tail_after_an_early_rejection(monkeypatch, capsys):
+    # the line is NONUNIQUE at 4, but the whole line is parsed before it
+    # is run, so the space after the rejection is still a usage error
+    code, out, err = run_cli(["check"], monkeypatch, capsys, stdin="0010 1\n")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "line 1: whitespace is not a symbol in chars mode" in err
+
+
+def test_check_alphabet_size_counts_the_whole_line(monkeypatch, capsys):
+    # 00102 is rejected at 4, before the third symbol appears, yet
+    # --alphabet-size caps the distinct symbols of the whole line
+    code, out, err = run_cli(["check", "--alphabet-size", "2"], monkeypatch, capsys, stdin="00102\n")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "line 1: 3 distinct symbols exceed --alphabet-size 2" in err
+
+
 def test_check_answers_each_line_before_the_input_ends():
     proc = start_cli(["check"])
     try:
@@ -355,3 +373,17 @@ def test_missing_subcommand_exits_64(monkeypatch, capsys):
         main([])
     capsys.readouterr()
     assert info.value.code == EXIT_USAGE
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # start-up cost: these modules take a large share of the time to the
+    # first verdict, and deciding a line needs none of them
+    source = str(Path(unitrail.__file__).resolve().parents[1])
+    probe = "import sys, unitrail.cli; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": source}, timeout=60,
+    )
+    loaded = set(done.stdout.split())
+    assert "unitrail.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}

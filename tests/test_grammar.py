@@ -5,7 +5,6 @@ import pytest
 from unitrail.grammar import (
     all_states,
     build_grammar_nfa,
-    export_transitions,
     iter_live_sets,
     nfa_accepts,
     successors,
@@ -13,6 +12,25 @@ from unitrail.grammar import (
 from unitrail.transposition import has_proper_transposition
 
 from conftest import all_strings
+
+
+def _state_label(state):
+    kind, *rest = state
+    if not rest:
+        return kind
+    return f"{kind}({','.join(str(r) for r in rest)})"
+
+
+def export_transitions(nfa):
+    """Plain-text relation, one ``from symbol to`` triple per line, sorted:
+    the form the materialized grammar was pinned in."""
+    lines = sorted(
+        f"{_state_label(src)} {symbol} {_state_label(dst)}"
+        for src in all_states(nfa)
+        for symbol in range(nfa.size)
+        for dst in successors(nfa, src, symbol)
+    )
+    return "".join(line + "\n" for line in lines)
 
 
 @pytest.mark.parametrize("size,expected", [(1, 6), (2, 18), (3, 44)])

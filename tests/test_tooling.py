@@ -59,3 +59,19 @@ def test_traced_check_calls_every_layer_its_workloads_require(tmp_path):
         calls = traced_calls([*argv, *extra])
         for layer in layers:
             assert calls.get(layer, 0) >= 1, (extra, layer)
+
+
+def test_traced_crosscheck_calls_every_layer_its_workload_requires():
+    # the crosscheck workload needs the harness span and every classifier
+    # it times inside it, plus the grammar build; a sweep that stops
+    # calling one of those names would fail only when the benchmark runs
+    calls = traced_calls(["crosscheck", "--alphabet-size", "3", "--max-len", "3", "--grammar", "strict"])
+    for layer in (
+        "harness.cross_validate",
+        "automaton.run",
+        "oracle.is_unique_trail",
+        "transposition.has_proper_transposition",
+        "grammar.nfa_accepts",
+        "grammar.build_grammar_nfa",
+    ):
+        assert calls.get(layer, 0) >= 1, layer

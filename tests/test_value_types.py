@@ -1,0 +1,74 @@
+import pytest
+
+from unitrail import (
+    AutomatonState,
+    find_proper_site,
+    induced_graph,
+    init_state,
+    parse_trail,
+    run,
+)
+from unitrail.grammar import build_grammar_nfa
+from unitrail.transposition import TwoAnchors
+
+# (build one value, its repr); each is built twice, so the two are equal
+# but not the same object.  The Verdict and OneAnchor strings are the
+# README's Library examples.
+VALUES = [
+    (lambda: run((0, 0, 1, 0), 2), "Verdict(accepted=False, first_rejection=4)"),
+    (lambda: run((0, 1), 2), "Verdict(accepted=True, first_rejection=None)"),
+    (lambda: parse_trail("a b a", tokens=True)[1], "Alphabet(size=2, names=('a', 'b'))"),
+    (
+        lambda: induced_graph((0, 0, 1, 0), 2),
+        "Multigraph(vertex_count=2, arc_multiplicity=mappingproxy({(0, 0): 1, (0, 1): 1, (1, 0): 1}))",
+    ),
+    (lambda: build_grammar_nfa(2, "amended"), "GrammarNFA(size=2, mode='amended')"),
+    (lambda: TwoAnchors(0, 3, 4, 5), "TwoAnchors(i=0, p=3, j=4, q=5)"),
+    (lambda: find_proper_site((0, 0, 1, 0)), "OneAnchor(i=0, j=1, k=3)"),
+]
+
+
+@pytest.mark.parametrize("build,text", VALUES, ids=[text.split("(")[0] for _, text in VALUES])
+def test_frozen_values_are_immutable_hashable_and_keep_their_repr(build, text):
+    value, twin = build(), build()
+    assert value is not twin
+    assert value == twin
+    assert hash(value) == hash(twin)
+    assert repr(value) == text
+    for name in (type(value)._fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+
+
+def test_frozen_values_unpack_like_tuples():
+    i, j, k = find_proper_site((0, 0, 1, 0))
+    assert (i, j, k) == (0, 1, 3)
+    assert run((0, 0, 1, 0), 2) == (False, 4)
+
+
+def test_automaton_state_compares_by_its_three_fields():
+    state = init_state(2)
+    assert state == AutomatonState(2, [None, None, None], [False, False])
+    assert state != AutomatonState(1, [None, None, None], [False, False])
+    assert state != AutomatonState(2, [None, 0, None], [False, False])
+    assert state != AutomatonState(2, [None, None, None], [False, True])
+    assert repr(state) == "AutomatonState(last=2, follower=[None, None, None], black=[False, False])"
+    with pytest.raises(AttributeError):
+        state.extra = 0
+    with pytest.raises(TypeError):
+        hash(state)
+
+
+def test_replace_runs_the_same_checks_as_the_constructor():
+    with pytest.raises(ValueError):
+        run((0, 0, 1, 0), 2)._replace(first_rejection=None)
+    with pytest.raises(ValueError):
+        parse_trail("ab")[1]._replace(names=("a", "a"))
+    graph = induced_graph((0, 1), 2)
+    with pytest.raises(ValueError):
+        graph._replace(arc_multiplicity={(0, 5): 1})
+    arcs = {(1, 0): 2}
+    moved = graph._replace(arc_multiplicity=arcs)
+    arcs[(0, 0)] = 1
+    assert moved.arc_multiplicity == {(1, 0): 2}
+    assert run((0, 1), 2)._replace() == run((0, 1), 2)
