@@ -11,6 +11,10 @@ leaves every vertex black exactly when the vertex it enters is black, so
 that one colour and stops on the exact symbol that causes a rejection,
 without scanning the table.  :func:`run` feeds a whole trail to a fresh
 state.
+
+Beside the colours the state records where each vertex was first
+blackened by a chain walk.  The record changes no verdict; it is what
+``transposition.find_proper_site`` reads a rejected trail's witness from.
 """
 
 from typing import NamedTuple
@@ -27,23 +31,35 @@ class AutomatonState:
     ``last`` is the previously consumed vertex, or the alphabet size (the
     virtual start marker) before any input.  ``follower`` has one slot per vertex
     plus one for the start marker; ``None`` means "nothing followed yet".
-    States compare equal when all three fields do.
+    ``blackened_at`` has one slot per vertex: the index, in the symbols fed,
+    of the vertex that the chain walk which first blackened it started
+    from, or ``None`` while no walk has (the dead state's blanket
+    blackening records nothing).  States compare equal when all four
+    fields do.
     """
 
-    __slots__ = ("last", "follower", "black")
+    __slots__ = ("last", "follower", "black", "blackened_at")
 
-    def __init__(self, last: int, follower: list[int | None], black: list[bool]):
+    def __init__(
+        self, last: int, follower: list[int | None], black: list[bool], blackened_at: list[int | None]
+    ):
         self.last = last
         self.follower = follower
         self.black = black
+        self.blackened_at = blackened_at
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.last, self.follower, self.black) == (other.last, other.follower, other.black)
+        return (self.last, self.follower, self.black, self.blackened_at) == (
+            other.last, other.follower, other.black, other.blackened_at
+        )
 
     def __repr__(self) -> str:
-        return f"AutomatonState(last={self.last!r}, follower={self.follower!r}, black={self.black!r})"
+        return (
+            f"AutomatonState(last={self.last!r}, follower={self.follower!r}, "
+            f"black={self.black!r}, blackened_at={self.blackened_at!r})"
+        )
 
 
 class _VerdictFields(NamedTuple):
@@ -77,7 +93,7 @@ def init_state(size: int) -> AutomatonState:
     """Fresh state: virtual start marker, empty follower table, all white."""
     if size < 1:
         raise ValueError("alphabet size must be at least 1")
-    return AutomatonState(size, [None] * (size + 1), [WHITE] * size)
+    return AutomatonState(size, [None] * (size + 1), [WHITE] * size, [None] * size)
 
 
 def advance(state: AutomatonState, trail: Trail) -> int | None:
@@ -91,15 +107,24 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
     the first step that enters a black vertex, after finishing that step,
     or ``None`` when no step does.  A symbol outside the alphabet raises
     ``ValueError`` and leaves the state as the symbols before it left it.
+
+    A chain walk in phase 1 writes ``blackened_at`` for each vertex it
+    turns black: the index in ``trail`` of the last vertex, which the walk
+    starts and ends at.  Already black vertices keep their first record.
+    The index counts from the start of this call's ``trail`` (``-1`` is the
+    vertex fed just before the call), so only one call from a fresh state
+    records positions in the whole input.
     """
     follower = state.follower
     black = state.black
+    blackened_at = state.blackened_at
     size = len(black)
     prev = state.last
     # `prev` stands for `state.last` while the loop runs; it is stored back
-    # however the loop ends, a raised error included.
+    # however the loop ends, a raised error included.  `prev_at` is the
+    # index of `prev` in `trail`, so `symbol` is at `prev_at + 1`.
     try:
-        for consumed, symbol in enumerate(trail, start=1):
+        for prev_at, symbol in enumerate(trail, start=-1):
             if not 0 <= symbol < size:
                 raise ValueError(f"symbol {symbol} out of range for alphabet size {size}")
             chained = follower[prev]
@@ -111,7 +136,9 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
                 while True:
                     if vertex is None or not 0 <= vertex < size:
                         raise RuntimeError("latest-follower chain escapes the vertex set")
-                    black[vertex] = BLACK
+                    if not black[vertex]:
+                        black[vertex] = BLACK
+                        blackened_at[vertex] = prev_at
                     vertex = follower[vertex]
                     hops += 1
                     if hops > size:
@@ -122,7 +149,7 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
                 black[:] = [BLACK] * size
                 follower[prev] = symbol
                 prev = symbol
-                return consumed
+                return prev_at + 2
             follower[prev] = symbol
             prev = symbol
         return None

@@ -15,10 +15,18 @@ vertex, or the length.  Two shapes exist:
 A transposition is *proper* when the vertices right after the two leading
 anchor occurrences differ; a trail is the unique Eulerian trail of its
 graph exactly when it has no proper transposition.
+
+Two functions answer that question, on purpose apart.  The witness,
+:func:`find_proper_site`, reads a proper site in O(n) from where the
+automaton first blackened the vertex it rejects on.  The independent
+classifier, :func:`has_proper_transposition`, is an O(n²) scan that uses
+no automaton and returns only whether a proper site exists; the tests
+hold both to the O(n⁴) reference :func:`all_sites`.
 """
 
 from typing import NamedTuple
 
+from .automaton import advance, init_state
 from .core import Trail
 
 
@@ -76,38 +84,65 @@ def is_proper(trail: Trail, site: TranspositionSite) -> bool:
 
 
 def find_proper_site(trail: Trail) -> TranspositionSite | None:
-    """A proper site of the trail, or None when the trail is unique; O(n²).
+    """A proper site of the trail, or None when the trail is unique; O(n).
 
-    Quadratic scan for two occurrences ``i < j`` of a vertex with distinct
-    followers such that some position ``via`` in ``[i, j)`` holds a vertex
-    whose last occurrence ``reach`` lies after ``j``.  The scan takes the
-    first such ``i``, then the first ``j``, and as ``via`` the first
-    position in ``[i, j)`` whose vertex recurs latest.  It returns
-    ``OneAnchor(i, j, reach)`` when ``via == i`` and
-    ``TwoAnchors(i, via, j, reach)`` otherwise.
+    One :func:`~unitrail.automaton.advance` from a fresh state finds the
+    first rejection: at index ``k`` the trail enters a black vertex ``v``.
+    The chain walk that first blackened ``v`` started at index
+    ``j = blackened_at[v]``, because the follower recorded at the previous
+    occurrence ``i`` of ``trail[j]`` differed from ``trail[j + 1]``; so
+    ``i`` and ``j`` are leading anchors with distinct followers.  The walk
+    went round a cycle through ``v`` inside ``[i, j]``; the site returned
+    is ``OneAnchor(i, j, k)`` when ``v`` is ``trail[j]`` itself, and
+    otherwise ``TwoAnchors(i, p, j, k)`` with ``p`` the last occurrence of
+    ``v`` before ``j``.
 
-    Every index the site names, followers included, lies inside the trail
-    it was given.  Given the shortest rejected prefix of a line, as
-    ``check --explain`` does, the site is a proper site of the whole line,
-    and the scan's cost does not grow with the rest of the line.
+    Every index the site names, followers included, lies inside the shortest
+    rejected prefix.  Given that prefix of a line, as ``check --explain``
+    does, the site is a proper site of the whole line, and the search's
+    cost does not grow with the rest of the line.
+    """
+    if not trail:
+        return None
+    state = init_state(max(trail) + 1)
+    rejected_at = advance(state, trail)
+    if rejected_at is None:
+        return None
+    k = rejected_at - 1
+    entered = trail[k]
+    j = state.blackened_at[entered]
+    anchor = trail[j]
+    i = _last_before(trail, anchor, j)
+    if entered == anchor:
+        return OneAnchor(i, j, k)
+    return TwoAnchors(i, _last_before(trail, entered, j), j, k)
+
+
+def _last_before(trail: Trail, symbol: int, end: int) -> int:
+    """The last index below ``end`` that holds ``symbol``."""
+    return end - 1 - trail[end - 1 :: -1].index(symbol)
+
+
+def has_proper_transposition(trail: Trail) -> bool:
+    """Does any proper transposition rearrange this trail?  O(n²).
+
+    The classifier the harness checks the automaton against, so it uses
+    none of it: a scan for two occurrences ``i < j`` of a vertex with
+    distinct followers such that some vertex occurring in ``[i, j)``
+    occurs again after ``j``.
     """
     n = len(trail)
     last_seen = {}
     for idx, symbol in enumerate(trail):
         last_seen[symbol] = idx
     for i in range(n):
-        reach, via = -1, i
+        reach = -1
         for j in range(i + 1, n - 1):
             if last_seen[trail[j - 1]] > reach:
-                reach, via = last_seen[trail[j - 1]], j - 1
+                reach = last_seen[trail[j - 1]]
             if trail[j] == trail[i] and trail[i + 1] != trail[j + 1] and reach > j:
-                return OneAnchor(i, j, reach) if via == i else TwoAnchors(i, via, j, reach)
-    return None
-
-
-def has_proper_transposition(trail: Trail) -> bool:
-    """Does any proper transposition rearrange this trail?"""
-    return find_proper_site(trail) is not None
+                return True
+    return False
 
 
 def _two_anchor_sites(trail: Trail):
@@ -136,7 +171,8 @@ def _one_anchor_sites(trail: Trail):
 def all_sites(trail: Trail):
     """Every well-formed site, two-anchor shapes first, lexicographic.
 
-    O(n⁴): the reference that tests hold ``find_proper_site`` to.
+    O(n⁴): the reference that tests hold ``find_proper_site`` and
+    ``has_proper_transposition`` to.
     """
     yield from _two_anchor_sites(trail)
     yield from _one_anchor_sites(trail)

@@ -75,6 +75,24 @@ def test_step_trace_01020():
     assert state.black == [BLACK, BLACK, BLACK]
 
 
+def test_blackened_at_keeps_the_first_chain_walk():
+    # at index 3 the walk from 1 (index 2) goes round the 1-loop; at index 4
+    # the walk from 0 (index 3) goes round 0 1 0 and passes the black 1,
+    # which keeps its index
+    state = init_state(3)
+    assert advance(state, (0, 1, 1, 0)) is None
+    assert state.blackened_at == [None, 2, None]
+    state = init_state(3)
+    assert advance(state, (0, 1, 1, 0, 2)) is None
+    assert state.black == [BLACK, BLACK, WHITE]
+    assert state.blackened_at == [3, 2, None]
+    # entering the black 0 blackens 2 with the dead state, not by a walk
+    state = init_state(3)
+    assert advance(state, (0, 1, 1, 0, 2, 0)) == 6
+    assert state.black == [BLACK, BLACK, BLACK]
+    assert state.blackened_at == [3, 2, None]
+
+
 def test_step_rejects_out_of_range_symbol():
     with pytest.raises(ValueError, match="symbol 2 out of range for alphabet size 2"):
         advance(init_state(2), (2,))
@@ -158,7 +176,7 @@ def test_streaming_immediacy_small_scale():
 
 
 def test_follower_chain_guard_trips_on_corrupt_state():
-    broken = AutomatonState(last=0, follower=[1, None, None], black=[WHITE, WHITE])
+    broken = AutomatonState(last=0, follower=[1, None, None], black=[WHITE, WHITE], blackened_at=[None, None])
     with pytest.raises(RuntimeError):
         advance(broken, (0,))
 
@@ -268,7 +286,7 @@ def accepted_walks(draw):
     for _ in range(150):
         alive = []
         for symbol in range(size):
-            trial = AutomatonState(state.last, list(state.follower), list(state.black))
+            trial = AutomatonState(state.last, list(state.follower), list(state.black), list(state.blackened_at))
             advance(trial, (symbol,))
             if is_accepting(trial):
                 alive.append(symbol)

@@ -174,6 +174,29 @@ def test_check_explain_cost_does_not_grow_with_the_tail():
     line += [next(names) for _ in range(4)] + [cycle[0]]
     rejected_at = len(line)
     line += [next(names) for _ in range(4000)]
+    assert_explained_within_5s(line, rejected_at)
+
+
+def test_check_explain_cost_is_linear_in_the_rejected_prefix():
+    # a chain of fresh cycles of 3 to 8 tokens, each about 40 symbols
+    # long, that re-enters the second-to-last cycle it left after more
+    # than 16,000 symbols; a search quadratic in the rejected prefix
+    # needs many seconds here
+    names = (f"t{n}" for n in itertools.count())
+    line, cycles = [], []
+    while len(line) < 16_000:
+        cycle = [next(names) for _ in range(3 + len(cycles) % 6)]
+        line += cycle * round(40 / len(cycle)) + [cycle[0]]
+        cycles.append(cycle)
+    line += [next(names) for _ in range(4)] + [cycles[-2][0]]
+    rejected_at = len(line)
+    line += [next(names) for _ in range(100)]
+    assert_explained_within_5s(line, rejected_at)
+
+
+def assert_explained_within_5s(line, rejected_at):
+    """``check --tokens --explain`` on one line names a different trail of
+    the same graph that keeps the line's tail, within 5 s."""
     proc = start_cli(["check", "--tokens", "--explain"])
     try:
         out, _ = proc.communicate((" ".join(line) + "\n").encode(), timeout=5)

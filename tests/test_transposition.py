@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from unitrail.transposition import (
     is_proper,
     properize,
     segments,
+    validate_site,
 )
 
 from conftest import all_strings
@@ -156,6 +160,65 @@ def test_witness_presence_matches_scan_at_full_range():
         for word in all_strings(size, max_len):
             reference = any(is_proper(word, site) for site in all_sites(word))
             assert has_proper_transposition(word) == reference, word
+
+
+def assert_witness_fits(word, size, site, rejected_at):
+    """The site is well formed and proper, names only indices below the
+    first rejection, and its image is a different trail of the same graph."""
+    validate_site(word, site)
+    assert is_proper(word, site), (word, site)
+    assert max(site) < rejected_at, (word, site)
+    other = apply_transposition(word, site)
+    assert other != word
+    assert induced_graph(other, size) == induced_graph(word, size)
+
+
+def test_witness_holds_to_scan_and_reference_at_full_range():
+    # the automaton witness against the independent scan and the quartic
+    # reference: a site exactly when one exists, and a fitting one
+    for size, max_len in ((2, 12), (3, 9), (4, 7)):
+        for word in all_strings(size, max_len):
+            site = find_proper_site(word)
+            reference = any(is_proper(word, other) for other in all_sites(word))
+            assert (site is not None) == has_proper_transposition(word) == reference, word
+            if site is not None:
+                assert_witness_fits(word, size, site, run(word, size).first_rejection)
+
+
+def test_witness_and_scan_on_random_trails():
+    rng = random.Random(20051)
+    for _ in range(3000):
+        size = rng.randint(1, 40)
+        word = tuple(rng.randrange(size) for _ in range(rng.randint(1, 400)))
+        r = run(word, size).first_rejection
+        site = find_proper_site(word)
+        if r is None:
+            assert site is None and not has_proper_transposition(word), word
+            continue
+        assert site is not None, word
+        assert_witness_fits(word, size, site, r)
+        assert not has_proper_transposition(word[: r - 1]), word
+        assert has_proper_transposition(word[:r]), word
+
+
+def test_witness_on_long_walks_rejected_late():
+    # unique walks that go round a cycle of fresh vertices, leave it part
+    # way round and never come back, until one returns into a vertex it
+    # left long before: rejections at hundreds to thousands of symbols
+    rng = random.Random(4028)
+    for _ in range(100):
+        fresh = itertools.count(1)
+        walk, cycles = [0], []
+        length = rng.randint(200, 2000)
+        while len(walk) < length:
+            cycle = [walk[-1]] + [next(fresh) for _ in range(rng.randint(0, 11))]
+            walk += (cycle[1:] + cycle[:1]) * rng.randint(1, 4) + cycle[1 : rng.randrange(len(cycle)) + 1]
+            cycles.append(cycle)
+            walk.append(next(fresh))
+        walk.append(rng.choice(rng.choice(cycles)))
+        word, size = tuple(walk), max(walk) + 1
+        assert run(word, size).first_rejection == len(word), word
+        assert_witness_fits(word, size, find_proper_site(word), len(word))
 
 
 def test_prefix_witness_is_a_proper_site_of_the_whole_word():
