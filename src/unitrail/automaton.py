@@ -2,9 +2,9 @@
 
 The machine consumes one vertex at a time and keeps three things: the last
 vertex read, a latest-follower table (which vertex most recently followed
-each vertex, including a virtual start-of-input marker), and a black/white
-color per vertex.  A vertex turns black once it sits on a committed cycle;
-when a black vertex is entered again the whole table blackens, which is the
+each vertex, including a virtual start-of-input marker), and a colour per
+vertex.  A vertex turns black once it sits on a committed cycle; when a
+black vertex is entered again the whole table blackens, which is the
 absorbing dead state.  Acceptance = at least one vertex still white.  A step
 leaves every vertex black exactly when the vertex it enters is black, so
 :func:`advance`, the one loop that feeds symbols to a state, decides on
@@ -12,17 +12,16 @@ that one colour and stops on the exact symbol that causes a rejection,
 without scanning the table.  :func:`run` feeds a whole trail to a fresh
 state.
 
-Beside the colours the state records where each vertex was first
-blackened by a chain walk.  The record changes no verdict; it is what
-``transposition.find_proper_site`` reads a rejected trail's witness from.
+A colour is stored as the step at which the vertex turned black, or ``0``
+while it is white; steps count the symbols consumed from the start of each
+:func:`advance` call, from 1.  The verdict reads only whether a value is
+zero, so the finite automaton of the paper is this state with each step
+mapped to its colour.
 """
 
 from typing import NamedTuple
 
 from .core import Trail
-
-WHITE = False
-BLACK = True
 
 
 class AutomatonState:
@@ -31,35 +30,26 @@ class AutomatonState:
     ``last`` is the previously consumed vertex, or the alphabet size (the
     virtual start marker) before any input.  ``follower`` has one slot per vertex
     plus one for the start marker; ``None`` means "nothing followed yet".
-    ``blackened_at`` has one slot per vertex: the index, in the symbols fed,
-    of the vertex that the chain walk which first blackened it started
-    from, or ``None`` while no walk has (the dead state's blanket
-    blackening records nothing).  States compare equal when all four
-    fields do.
+    ``black`` has one slot per vertex: ``0`` while the vertex is white, and
+    once it is black the step at which it turned black, the 1-based count
+    of symbols consumed by the :func:`advance` call that blackened it.
+    States compare equal when all three fields do.
     """
 
-    __slots__ = ("last", "follower", "black", "blackened_at")
+    __slots__ = ("last", "follower", "black")
 
-    def __init__(
-        self, last: int, follower: list[int | None], black: list[bool], blackened_at: list[int | None]
-    ):
+    def __init__(self, last: int, follower: list[int | None], black: list[int]):
         self.last = last
         self.follower = follower
         self.black = black
-        self.blackened_at = blackened_at
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.last, self.follower, self.black, self.blackened_at) == (
-            other.last, other.follower, other.black, other.blackened_at
-        )
+        return (self.last, self.follower, self.black) == (other.last, other.follower, other.black)
 
     def __repr__(self) -> str:
-        return (
-            f"AutomatonState(last={self.last!r}, follower={self.follower!r}, "
-            f"black={self.black!r}, blackened_at={self.blackened_at!r})"
-        )
+        return f"AutomatonState(last={self.last!r}, follower={self.follower!r}, black={self.black!r})"
 
 
 class _VerdictFields(NamedTuple):
@@ -93,7 +83,7 @@ def init_state(size: int) -> AutomatonState:
     """Fresh state: virtual start marker, empty follower table, all white."""
     if size < 1:
         raise ValueError("alphabet size must be at least 1")
-    return AutomatonState(size, [None] * (size + 1), [WHITE] * size, [None] * size)
+    return AutomatonState(size, [None] * (size + 1), [0] * size)
 
 
 def advance(state: AutomatonState, trail: Trail) -> int | None:
@@ -108,23 +98,21 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
     or ``None`` when no step does.  A symbol outside the alphabet raises
     ``ValueError`` and leaves the state as the symbols before it left it.
 
-    A chain walk in phase 1 writes ``blackened_at`` for each vertex it
-    turns black: the index in ``trail`` of the last vertex, which the walk
-    starts and ends at.  Already black vertices keep their first record.
-    The index counts from the start of this call's ``trail`` (``-1`` is the
-    vertex fed just before the call), so only one call from a fresh state
-    records positions in the whole input.
+    Blackening a vertex writes the current step into ``black``: the
+    1-based count of symbols this call has consumed, the symbol being fed
+    included.  An already black vertex keeps its first step, and the dead
+    state fills only the white vertices with the fatal step.  Steps count
+    from the start of this call's ``trail``, so only one call from a fresh
+    state numbers the whole input.
     """
     follower = state.follower
     black = state.black
-    blackened_at = state.blackened_at
     size = len(black)
     prev = state.last
     # `prev` stands for `state.last` while the loop runs; it is stored back
-    # however the loop ends, a raised error included.  `prev_at` is the
-    # index of `prev` in `trail`, so `symbol` is at `prev_at + 1`.
+    # however the loop ends, a raised error included.
     try:
-        for prev_at, symbol in enumerate(trail, start=-1):
+        for consumed, symbol in enumerate(trail, start=1):
             if not 0 <= symbol < size:
                 raise ValueError(f"symbol {symbol} out of range for alphabet size {size}")
             chained = follower[prev]
@@ -137,8 +125,7 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
                     if vertex is None or not 0 <= vertex < size:
                         raise RuntimeError("latest-follower chain escapes the vertex set")
                     if not black[vertex]:
-                        black[vertex] = BLACK
-                        blackened_at[vertex] = prev_at
+                        black[vertex] = consumed
                     vertex = follower[vertex]
                     hops += 1
                     if hops > size:
@@ -146,10 +133,10 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
                     if vertex == prev:
                         break
             if black[symbol]:
-                black[:] = [BLACK] * size
+                black[:] = [c or consumed for c in black]
                 follower[prev] = symbol
                 prev = symbol
-                return prev_at + 2
+                return consumed
             follower[prev] = symbol
             prev = symbol
         return None

@@ -86,16 +86,10 @@ def _lines(stream):
 def _witness(trail, rejected_at: int, alphabet: Alphabet, tokens: bool) -> dict:
     """A proper site of the shortest rejected prefix, shown on the whole line."""
     site = find_proper_site(trail[:rejected_at])
-    parts = segments(trail, site)
-    if isinstance(site, TwoAnchors):
-        label = f"two_anchors({site.i},{site.p},{site.j},{site.q})"
-        keys = ("u", "a", "x", "b", "z", "y", "v")
-    else:
-        label = f"one_anchor({site.i},{site.j},{site.k})"
-        keys = ("u", "a", "x", "y", "v")
-    data = {"site": label}
-    for key in keys:
-        data[key] = alphabet.render(parts[key], tokens)
+    shape = "two_anchors" if isinstance(site, TwoAnchors) else "one_anchor"
+    data = {"site": f"{shape}({','.join(map(str, site))})"}
+    for key, part in segments(trail, site).items():
+        data[key] = alphabet.render(part, tokens)
     data["alt"] = alphabet.render(apply_transposition(trail, site), tokens)
     return data
 

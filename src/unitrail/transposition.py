@@ -17,11 +17,11 @@ anchor occurrences differ; a trail is the unique Eulerian trail of its
 graph exactly when it has no proper transposition.
 
 Two functions answer that question, on purpose apart.  The witness,
-:func:`find_proper_site`, reads a proper site in O(n) from where the
-automaton first blackened the vertex it rejects on.  The independent
-classifier, :func:`has_proper_transposition`, is an O(n²) scan that uses
-no automaton and returns only whether a proper site exists; the tests
-hold both to the O(n⁴) reference :func:`all_sites`.
+:func:`find_proper_site`, reads a proper site in O(n) from the step at
+which the automaton first blackened the vertex it rejects on.  The
+independent classifier, :func:`has_proper_transposition`, is an O(n²)
+scan that uses no automaton and returns only whether a proper site
+exists; the tests hold both to the O(n⁴) reference :func:`all_sites`.
 """
 
 from typing import NamedTuple
@@ -88,14 +88,17 @@ def find_proper_site(trail: Trail) -> TranspositionSite | None:
 
     One :func:`~unitrail.automaton.advance` from a fresh state finds the
     first rejection: at index ``k`` the trail enters a black vertex ``v``.
-    The chain walk that first blackened ``v`` started at index
-    ``j = blackened_at[v]``, because the follower recorded at the previous
-    occurrence ``i`` of ``trail[j]`` differed from ``trail[j + 1]``; so
-    ``i`` and ``j`` are leading anchors with distinct followers.  The walk
-    went round a cycle through ``v`` inside ``[i, j]``; the site returned
-    is ``OneAnchor(i, j, k)`` when ``v`` is ``trail[j]`` itself, and
-    otherwise ``TwoAnchors(i, p, j, k)`` with ``p`` the last occurrence of
-    ``v`` before ``j``.
+    ``black[v]`` holds the step of the chain walk that first blackened
+    ``v``: the dead state fills only white vertices, and ``v`` was black
+    when the trail entered it.  Steps count symbols consumed from 1, so the
+    walk started from the vertex fed just before that step's symbol, at
+    index ``j = black[v] - 2``.  The walk ran because the follower
+    recorded at the previous occurrence ``i`` of ``trail[j]`` differed
+    from ``trail[j + 1]``; so ``i`` and ``j`` are leading anchors with
+    distinct followers.  The walk went round a cycle through ``v`` inside
+    ``[i, j]``; the site returned is ``OneAnchor(i, j, k)`` when ``v`` is
+    ``trail[j]`` itself, and otherwise ``TwoAnchors(i, p, j, k)`` with
+    ``p`` the last occurrence of ``v`` before ``j``.
 
     Every index the site names, followers included, lies inside the shortest
     rejected prefix.  Given that prefix of a line, as ``check --explain``
@@ -110,7 +113,7 @@ def find_proper_site(trail: Trail) -> TranspositionSite | None:
         return None
     k = rejected_at - 1
     entered = trail[k]
-    j = state.blackened_at[entered]
+    j = state.black[entered] - 2
     anchor = trail[j]
     i = _last_before(trail, anchor, j)
     if entered == anchor:

@@ -5,8 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unitrail.automaton import (
-    BLACK,
-    WHITE,
     AutomatonState,
     Verdict,
     advance,
@@ -20,7 +18,8 @@ from conftest import all_strings
 
 
 def feed(symbols, size):
-    # one symbol per call, so the state keeps stepping past a rejection
+    # one symbol per call, so the state keeps stepping past a rejection;
+    # each call counts its steps from 1, so every step recorded is 1
     state = init_state(size)
     for symbol in symbols:
         advance(state, (symbol,))
@@ -31,7 +30,7 @@ def test_init_state_shape():
     state = init_state(2)
     assert state.last == 2
     assert state.follower == [None, None, None]
-    assert state.black == [WHITE, WHITE]
+    assert state.black == [0, 0]
     assert is_accepting(state)
     assert init_state(1).follower == [None, None]
 
@@ -47,14 +46,14 @@ def test_step_trace_001():
     state = feed((0, 0, 1), 2)
     assert state.last == 1
     assert state.follower == [1, None, 0]
-    assert state.black == [BLACK, WHITE]
+    assert state.black == [1, 0]
     assert is_accepting(state)
 
 
 def test_step_after_001_with_1_stays_alive():
     state = feed((0, 0, 1), 2)
     assert advance(state, (1,)) is None
-    assert state.black == [BLACK, WHITE]
+    assert state.black == [1, 0]
     assert is_accepting(state)
     assert run((0, 0, 1, 1), 2).accepted
 
@@ -62,7 +61,7 @@ def test_step_after_001_with_1_stays_alive():
 def test_step_after_001_with_0_dies():
     state = feed((0, 0, 1), 2)
     assert advance(state, (0,)) == 1
-    assert state.black == [BLACK, BLACK]
+    assert state.black == [1, 1]
     assert not is_accepting(state)
 
 
@@ -70,27 +69,31 @@ def test_step_trace_01020():
     # phase order matters: the cycle coloring at the fourth symbol blackens
     # 0 and 1 before the fifth symbol trips the dead state
     state = feed((0, 1, 0, 2), 3)
-    assert state.black == [BLACK, BLACK, WHITE]
+    assert state.black == [1, 1, 0]
     advance(state, (0,))
-    assert state.black == [BLACK, BLACK, BLACK]
+    assert state.black == [1, 1, 1]
+    # in one call the walk is step 4; a second call counts from 1 again
+    state = init_state(3)
+    assert advance(state, (0, 1, 0, 2)) is None
+    assert state.black == [4, 4, 0]
+    assert advance(state, (0,)) == 1
+    assert state.black == [4, 4, 1]
 
 
-def test_blackened_at_keeps_the_first_chain_walk():
-    # at index 3 the walk from 1 (index 2) goes round the 1-loop; at index 4
-    # the walk from 0 (index 3) goes round 0 1 0 and passes the black 1,
-    # which keeps its index
+def test_black_keeps_the_step_of_the_first_chain_walk():
+    # at step 4 the walk from 1 goes round the 1-loop; at step 5 the walk
+    # from 0 goes round 0 1 0 and passes the black 1, which keeps its step
     state = init_state(3)
     assert advance(state, (0, 1, 1, 0)) is None
-    assert state.blackened_at == [None, 2, None]
+    assert state.black == [0, 4, 0]
     state = init_state(3)
     assert advance(state, (0, 1, 1, 0, 2)) is None
-    assert state.black == [BLACK, BLACK, WHITE]
-    assert state.blackened_at == [3, 2, None]
-    # entering the black 0 blackens 2 with the dead state, not by a walk
+    assert state.black == [5, 4, 0]
+    # entering the black 0 fills the white 2 with the fatal step 6 and
+    # leaves the walks' steps as they were
     state = init_state(3)
     assert advance(state, (0, 1, 1, 0, 2, 0)) == 6
-    assert state.black == [BLACK, BLACK, BLACK]
-    assert state.blackened_at == [3, 2, None]
+    assert state.black == [5, 4, 6]
 
 
 def test_step_rejects_out_of_range_symbol():
@@ -129,25 +132,32 @@ def test_verdict_consistency_enforced():
         Verdict(False, None)
 
 
-@given(st.lists(st.integers(0, 2), min_size=1, max_size=12))
-def test_colors_are_monotone(symbols):
+# calls of one to four symbols, so that steps differ between and within calls
+pieces = st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple)
+
+
+@given(st.lists(pieces, min_size=1, max_size=6))
+def test_colors_are_monotone(calls):
     state = init_state(3)
-    for symbol in symbols:
+    for piece in calls:
         before = list(state.black)
-        advance(state, (symbol,))
+        advance(state, piece)
         assert all(now or not was for was, now in zip(before, state.black))
+        # a vertex keeps the step at which it turned black
+        assert all(now == was for was, now in zip(before, state.black) if was)
 
 
-@given(st.lists(st.integers(0, 2), min_size=1, max_size=8), st.lists(st.integers(0, 2), min_size=1, max_size=6))
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=8).map(tuple), st.lists(pieces, min_size=1, max_size=6))
 def test_dead_state_is_absorbing(symbols, extra):
     state = init_state(3)
-    for symbol in symbols:
-        advance(state, (symbol,))
+    advance(state, symbols)
     if is_accepting(state):
         return
-    for symbol in extra:
-        advance(state, (symbol,))
-        assert state.black == [BLACK, BLACK, BLACK]
+    assert all(state.black)
+    steps = list(state.black)
+    for piece in extra:
+        advance(state, piece)
+        assert state.black == steps
         assert not is_accepting(state)
 
 
@@ -176,7 +186,7 @@ def test_streaming_immediacy_small_scale():
 
 
 def test_follower_chain_guard_trips_on_corrupt_state():
-    broken = AutomatonState(last=0, follower=[1, None, None], black=[WHITE, WHITE], blackened_at=[None, None])
+    broken = AutomatonState(last=0, follower=[1, None, None], black=[0, 0])
     with pytest.raises(RuntimeError):
         advance(broken, (0,))
 
@@ -215,25 +225,56 @@ def test_run_rejects_where_the_state_stops_accepting():
 
 
 def state_of(state):
-    return state.last, list(state.follower), list(state.black)
+    """The state of the paper's finite automaton: each step mapped to its
+    colour."""
+    return state.last, list(state.follower), [bool(step) for step in state.black]
+
+
+def feed_in_pieces(word, size, cuts):
+    """Feed ``word`` with one ``advance`` call per piece between ``cuts``,
+    up to the first rejection.  Returns the state, the steps renumbered
+    over the whole word (a vertex blackened in a call gets that call's
+    step plus the symbols fed before the call), and the rejection point
+    counted the same way."""
+    state = init_state(size)
+    steps = [0] * size
+    start = 0
+    for end in (*cuts, len(word)):
+        rejected = advance(state, word[start:end])
+        steps = [step or (local and start + local) for step, local in zip(steps, state.black)]
+        if rejected is not None:
+            return state, steps, start + rejected
+        start = end
+    return state, steps, None
 
 
 def test_advance_is_split_invariant():
     # one call over the whole trail leaves the state that one call per
-    # symbol leaves, up to and including the rejecting step
+    # symbol leaves, up to and including the rejecting step, and its steps
+    # are the per-symbol calls' steps offset by the symbols fed before
     for size in (1, 2, 3):
         for word in all_strings(size, 8):
             for padded in (size, size + 2):
                 whole = init_state(padded)
                 consumed = advance(whole, word)
-                stepped = init_state(padded)
-                count = None
-                for position, symbol in enumerate(word, start=1):
-                    if advance(stepped, (symbol,)) is not None:
-                        count = position
-                        break
+                stepped, steps, count = feed_in_pieces(word, padded, range(1, len(word)))
                 assert consumed == count == run(word, padded).first_rejection, (word, padded)
                 assert state_of(whole) == state_of(stepped), (word, padded)
+                assert whole.black == steps, (word, padded)
+
+
+@given(
+    st.lists(st.integers(0, 3), max_size=24).map(tuple),
+    st.lists(st.integers(0, 24), max_size=4).map(sorted),
+)
+def test_steps_compose_across_any_split(word, cuts):
+    cuts = [min(cut, len(word)) for cut in cuts]
+    whole = init_state(4)
+    consumed = advance(whole, word)
+    pieces, steps, count = feed_in_pieces(word, 4, cuts)
+    assert consumed == count
+    assert state_of(whole) == state_of(pieces)
+    assert whole.black == steps
 
 
 def test_doubled_trail_is_accepted_in_linear_time():
@@ -286,7 +327,7 @@ def accepted_walks(draw):
     for _ in range(150):
         alive = []
         for symbol in range(size):
-            trial = AutomatonState(state.last, list(state.follower), list(state.black), list(state.blackened_at))
+            trial = AutomatonState(state.last, list(state.follower), list(state.black))
             advance(trial, (symbol,))
             if is_accepting(trial):
                 alive.append(symbol)

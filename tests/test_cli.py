@@ -63,6 +63,20 @@ def test_check_explain_names_the_alternative(monkeypatch, capsys):
     assert record["witness"]["site"] == "one_anchor(0,1,3)"
 
 
+def test_check_explain_renders_a_two_anchor_witness(monkeypatch, capsys):
+    # every key of the two-anchor shape, in order, with empty segments shown
+    code, out, _ = run_cli(["check", "--explain"], monkeypatch, capsys, stdin="01021\n")
+    assert code == EXIT_OK
+    assert out == "0\tNONUNIQUE\t5\tsite=two_anchors(0,1,2,4)\tu=\ta=0\tx=\tb=1\tz=\ty=2\tv=\talt=02101\n"
+    code, out, _ = run_cli(["check", "--explain", "--json"], monkeypatch, capsys, stdin="01021\n")
+    assert code == EXIT_OK
+    assert out == (
+        '{"index": 0, "verdict": "NONUNIQUE", "first_rejection": 5, "witness": '
+        '{"site": "two_anchors(0,1,2,4)", "u": "", "a": "0", "x": "", "b": "1", '
+        '"z": "", "y": "2", "v": "", "alt": "02101"}}\n'
+    )
+
+
 def test_check_indexes_lines(monkeypatch, capsys):
     code, out, _ = run_cli(["check"], monkeypatch, capsys, stdin="abab\n0010\n\n")
     assert code == EXIT_OK

@@ -46,16 +46,15 @@ def test_frozen_values_unpack_like_tuples():
     assert run((0, 0, 1, 0), 2) == (False, 4)
 
 
-def test_automaton_state_compares_by_its_four_fields():
+def test_automaton_state_compares_by_its_three_fields():
     state = init_state(2)
-    assert state == AutomatonState(2, [None, None, None], [False, False], [None, None])
-    assert state != AutomatonState(1, [None, None, None], [False, False], [None, None])
-    assert state != AutomatonState(2, [None, 0, None], [False, False], [None, None])
-    assert state != AutomatonState(2, [None, None, None], [False, True], [None, None])
-    assert state != AutomatonState(2, [None, None, None], [False, False], [0, None])
-    assert repr(state) == (
-        "AutomatonState(last=2, follower=[None, None, None], black=[False, False], blackened_at=[None, None])"
-    )
+    assert state == AutomatonState(2, [None, None, None], [0, 0])
+    assert state != AutomatonState(1, [None, None, None], [0, 0])
+    assert state != AutomatonState(2, [None, 0, None], [0, 0])
+    assert state != AutomatonState(2, [None, None, None], [0, 1])
+    # the same colours blackened at different steps
+    assert AutomatonState(2, [None, None, None], [1, 0]) != AutomatonState(2, [None, None, None], [2, 0])
+    assert repr(state) == "AutomatonState(last=2, follower=[None, None, None], black=[0, 0])"
     with pytest.raises(AttributeError):
         state.extra = 0
     with pytest.raises(TypeError):
