@@ -1,6 +1,6 @@
 """Streaming uniqueness checks for Eulerian trails of trail-induced multigraphs."""
 
-from .automaton import AutomatonState, Verdict, advance, init_state, is_accepting, run
+from .automaton import AutomatonState, Verdict, advance, init_state, run
 from .core import (
     Alphabet,
     Multigraph,
@@ -21,8 +21,6 @@ from .transposition import (
     apply_transposition,
     find_proper_site,
     has_proper_transposition,
-    is_proper,
-    properize,
     segments,
 )
 
@@ -52,12 +50,9 @@ __all__ = [
     "has_proper_transposition",
     "induced_graph",
     "init_state",
-    "is_accepting",
-    "is_proper",
     "is_unique_trail",
     "nfa_accepts",
     "parse_trail",
-    "properize",
     "run",
     "segments",
 ]

@@ -144,11 +144,6 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
         state.last = prev
 
 
-def is_accepting(state: AutomatonState) -> bool:
-    """Accepting while at least one vertex is still white."""
-    return not all(state.black)
-
-
 def run(trail: Trail, size: int) -> Verdict:
     """Feed a trail through the machine and report the verdict.
 

@@ -110,10 +110,6 @@ class Multigraph(_MultigraphFields):
     def __hash__(self) -> int:
         return hash((self.vertex_count, frozenset(self.arc_multiplicity.items())))
 
-    @property
-    def arc_count(self) -> int:
-        return sum(self.arc_multiplicity.values())
-
 
 def induced_graph(trail: Trail, size: int) -> Multigraph:
     """Multigraph whose arcs are the trail's consecutive symbol pairs."""

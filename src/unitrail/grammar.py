@@ -16,6 +16,8 @@ shapes:
 
 Every arc comes from one rule, ``successors``, so nothing is built per
 alphabet: a run steps only its live set of states (subset simulation).
+Nothing here lists the 2 + 2m + m² + m³ states; the tests do, to check the
+rule over the whole space.
 The two variants differ by one production.  In ``strict`` mode the mark
 can only be a vertex of the in-between stretch (or the anchor itself when
 the stretch is empty), which is sound but misses inputs like 0 1 0 0 and
@@ -25,7 +27,6 @@ the gap; the cross-validation harness reports the delta between the two
 instead of hiding it.
 """
 
-from itertools import product
 from typing import NamedTuple
 
 from .core import Trail, validate_trail
@@ -77,20 +78,6 @@ def successors(nfa: GrammarNFA, state: State, symbol: int) -> set:
         case ("accept",):
             return {ACCEPT}
     raise ValueError(f"not a grammar state: {state!r}")
-
-
-def all_states(nfa: GrammarNFA):
-    """Every state, reachable or not: 2 + 2m + m^2 + m^3 of them."""
-    syms = range(nfa.size)
-    yield START
-    yield ACCEPT
-    for a in syms:
-        yield ("anchor", a)
-        yield ("await", a)
-    for c, b in product(syms, repeat=2):
-        yield ("branch", c, b)
-    for a, c, b in product(syms, repeat=3):
-        yield ("span", a, c, b)
 
 
 def iter_live_sets(nfa: GrammarNFA, trail: Trail):

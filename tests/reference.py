@@ -1,0 +1,129 @@
+"""What only the tests use: the O(n⁴) list of every site, every grammar
+state, the acceptance test on an automaton state and the checked shift
+lemma.  The package never calls them.
+
+Import it the way the tests import ``conftest``:
+``from reference import all_sites``.
+"""
+
+from itertools import product
+
+from unitrail.automaton import AutomatonState
+from unitrail.core import Trail
+from unitrail.grammar import ACCEPT, START, GrammarNFA
+from unitrail.transposition import (
+    OneAnchor,
+    TranspositionSite,
+    TwoAnchors,
+    _indices,
+    apply_transposition,
+    validate_site,
+)
+
+
+def is_accepting(state: AutomatonState) -> bool:
+    """Accepting while at least one vertex is still white."""
+    return not all(state.black)
+
+
+def all_states(nfa: GrammarNFA):
+    """Every state, reachable or not: 2 + 2m + m^2 + m^3 of them."""
+    syms = range(nfa.size)
+    yield START
+    yield ACCEPT
+    for a in syms:
+        yield ("anchor", a)
+        yield ("await", a)
+    for c, b in product(syms, repeat=2):
+        yield ("branch", c, b)
+    for a, c, b in product(syms, repeat=3):
+        yield ("span", a, c, b)
+
+
+def is_proper(trail: Trail, site: TranspositionSite) -> bool:
+    """True when the two leading anchor occurrences have distinct followers."""
+    validate_site(trail, site)
+    first = site.i
+    second = site.j
+    return trail[first + 1] != trail[second + 1]
+
+
+def _two_anchor_sites(trail: Trail):
+    n = len(trail)
+    for i in range(n):
+        for p in range(i + 1, n):
+            for j in range(p + 1, n):
+                if trail[j] != trail[i]:
+                    continue
+                for q in range(j + 1, n):
+                    if trail[q] == trail[p]:
+                        yield TwoAnchors(i, p, j, q)
+
+
+def _one_anchor_sites(trail: Trail):
+    n = len(trail)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if trail[j] != trail[i]:
+                continue
+            for k in range(j + 1, n):
+                if trail[k] == trail[i]:
+                    yield OneAnchor(i, j, k)
+
+
+def all_sites(trail: Trail):
+    """Every well-formed site, two-anchor shapes first, lexicographic.
+
+    O(n⁴): the reference that tests hold ``find_proper_site`` and
+    ``has_proper_transposition`` to.
+    """
+    yield from _two_anchor_sites(trail)
+    yield from _one_anchor_sites(trail)
+
+
+def _shift_improper(trail: Trail, site: TranspositionSite) -> TranspositionSite:
+    """One anchor-shifting step: absorb the shared follower into the prefix.
+
+    Both leading anchors are followed by the same vertex, which becomes the
+    new anchor one position to the right.  When a swapped segment is left
+    empty, the leading anchor sits directly against the trailing anchor
+    symbol and the shape collapses to a one-anchor site.
+    """
+    i, p, j, q = _indices(site)
+    if p == i + 1:
+        return OneAnchor(i + 1, j + 1, q)
+    if q == j + 1:
+        return OneAnchor(i + 1, p, j + 1)
+    return TwoAnchors(i + 1, p, j + 1, q)
+
+
+def properize(trail: Trail, site: TranspositionSite) -> TranspositionSite:
+    """Replace a non-identity transposition by a proper one with equal image.
+
+    Shift lemma: the two leading anchors of an improper site are followed by
+    the same vertex, and every branch of :func:`_shift_improper` makes those
+    two followers the new leading anchors, which moves the first anchor
+    right by exactly one and keeps the image.  The first anchor cannot pass
+    the end of the trail, so the loop ends, and it ends at a proper site.
+    The number of shifts taken is ``result.i - site.i``.  Every shift is
+    checked against the lemma; a shifted site that is malformed, does not
+    move the first anchor by one, or changes the image raises
+    ``RuntimeError``.
+    """
+    image = apply_transposition(trail, site)
+    if image == trail:
+        raise ValueError("identity transposition has no proper equivalent")
+    current = site
+    while not is_proper(trail, current):
+        shifted = _shift_improper(trail, current)
+        try:
+            ok = shifted.i == current.i + 1 and apply_transposition(trail, shifted) == image
+        except ValueError:
+            ok = False
+        if not ok:
+            raise RuntimeError(
+                f"shifting site {current} of trail {trail} gave {shifted}, "
+                "which breaks the shift lemma"
+            )
+        current = shifted
+    return current

@@ -16,16 +16,10 @@ from unitrail.core import induced_graph
 from unitrail.harness import cross_validate
 from unitrail.mfw import brute_mfw, constructive_mfw
 from unitrail.oracle import enumerate_trails
-from unitrail.transposition import (
-    TwoAnchors,
-    all_sites,
-    apply_transposition,
-    has_proper_transposition,
-    is_proper,
-    properize,
-)
+from unitrail.transposition import TwoAnchors, apply_transposition, has_proper_transposition
 
 from conftest import all_strings, matches_binary_mfw
+from reference import all_sites, is_proper, properize
 
 UNIVERSES = ((2, 12), (3, 9), (4, 7))
 EXPECTED_COUNTS = {2: 8190, 3: 29523, 4: 21844}

@@ -9,12 +9,12 @@ from unitrail.automaton import (
     Verdict,
     advance,
     init_state,
-    is_accepting,
     run,
 )
 from unitrail.oracle import is_unique_trail
 
 from conftest import all_strings
+from reference import is_accepting
 
 
 def feed(symbols, size):

@@ -3,7 +3,6 @@ import hashlib
 import pytest
 
 from unitrail.grammar import (
-    all_states,
     build_grammar_nfa,
     iter_live_sets,
     nfa_accepts,
@@ -12,6 +11,7 @@ from unitrail.grammar import (
 from unitrail.transposition import has_proper_transposition
 
 from conftest import all_strings
+from reference import all_states
 
 
 def _state_label(state):

@@ -1,5 +1,10 @@
+import ast
+import inspect
+from pathlib import Path
+
 import pytest
 
+import unitrail
 from unitrail import (
     AutomatonState,
     find_proper_site,
@@ -74,3 +79,24 @@ def test_replace_runs_the_same_checks_as_the_constructor():
     arcs[(0, 0)] = 1
     assert moved.arc_multiplicity == {(1, 0): 2}
     assert run((0, 1), 2)._replace() == run((0, 1), 2)
+
+
+def test_every_public_function_is_called_by_another_package_module():
+    # what only the tests call lives in tests/reference.py, not in __all__
+    named = {}
+    for path in Path(unitrail.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        named[f"unitrail.{path.stem}"] = (
+            {node.id for node in nodes if isinstance(node, ast.Name)}
+            | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+            | {node.name for node in nodes if isinstance(node, ast.alias)}
+        )
+    unused = [
+        name
+        for name in unitrail.__all__
+        if inspect.isfunction(fn := getattr(unitrail, name))
+        and not any(name in names for module, names in named.items() if module != fn.__module__)
+    ]
+    assert unused == []
