@@ -47,9 +47,6 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     report = CrosscheckReport(size, max_len)
     spent = dict.fromkeys(CLASSIFIERS, 0.0)
 
-    def automaton_accepts(word):
-        return run(word, size).accepted
-
     def timed(name, fn, *args):
         begin = time.perf_counter()
         result = fn(*args)
@@ -59,7 +56,7 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     for length in range(1, max_len + 1):
         for word in itertools.product(range(size), repeat=length):
             report.checked += 1
-            accepted = timed("automaton", automaton_accepts, word)
+            accepted = timed("automaton", run, word, size).accepted
             unique = timed("oracle", is_unique_trail, word)
             swappable = timed("transposition-scan", has_proper_transposition, word)
             by_amended = timed("grammar-amended", nfa_accepts, amended, word)

@@ -5,10 +5,11 @@ accepted), so it is fully determined by its minimal forbidden words: the
 rejected strings all of whose proper factors are accepted.  Two generators
 are provided and must agree:
 
-* ``constructive_mfw`` builds words from the two anchor shapes
-  ``a x b z a y b`` (distinct anchors) and ``a x a y a`` (one anchor),
-  where the filler segments avoid the anchors, are pairwise vertex
-  disjoint, are themselves accepted, and x, y are not both empty.
+* ``constructive_mfw`` builds words ``a x b z a y b`` in one loop over
+  the ordered anchor pairs (a, b).  ``a == b`` gives the one-anchor shape
+  ``a x a y a``, read as ``b`` being the middle ``a`` and ``z`` empty.
+  The filler segments avoid the anchors, are pairwise vertex disjoint,
+  are themselves accepted, and x, y are not both empty.
 * ``brute_mfw`` runs the automaton on every one-symbol extension of the
   accepted words, walked level by level, so its work follows the sparse
   accepted language rather than all m^L strings: 450 runs at m=2, L=14,
@@ -58,48 +59,29 @@ def _accepted_words(symbols: list[int], max_len: int, size: int) -> list[Trail]:
 
 
 def constructive_mfw(size: int, max_len: int) -> list[Trail]:
-    """Render every valid anchor shape up to max_len; deduplicated, sorted."""
+    """Render ``a x b z a y b`` for every ordered anchor pair (a, b) up to
+    max_len, ``a == b`` giving ``a x a y a``; deduplicated, sorted."""
     if size < 1:
         raise ValueError("alphabet size must be at least 1")
     found: set[Trail] = set()
-
-    def emit(word: Trail, second_anchor: int) -> None:
-        # Filler disjointness forces distinct followers after the two
-        # leading anchor occurrences, i.e. shapes are proper by build.
-        assert word[1] != word[second_anchor + 1], f"improper rendering {word}"
-        found.add(word)
-
-    for a in range(size):
-        rest = [s for s in range(size) if s != a]
-        budget = max_len - 3
-        pool = _accepted_words(rest, budget, size)
-        for x in pool:
-            for y in pool:
-                if len(x) + len(y) > budget or (not x and not y):
-                    continue
-                if set(x) & set(y):
-                    continue
-                emit((a,) + x + (a,) + y + (a,), 1 + len(x))
-
     for a in range(size):
         for b in range(size):
-            if b == a:
-                continue
-            rest = [s for s in range(size) if s not in (a, b)]
-            budget = max_len - 4
-            pool = _accepted_words(rest, budget, size)
+            budget = max_len - 3 - (a != b)
+            pool = _accepted_words([s for s in range(size) if s not in (a, b)], budget, size)
             for x in pool:
                 for y in pool:
-                    if len(x) + len(y) > budget or (not x and not y):
+                    if len(x) + len(y) > budget or (not x and not y) or set(x) & set(y):
                         continue
-                    if set(x) & set(y):
-                        continue
-                    for z in pool:
-                        if len(x) + len(y) + len(z) > budget:
+                    room, used = budget - len(x) - len(y), set(x) | set(y)
+                    for z in pool if a != b else [()]:
+                        if len(z) > room or not used.isdisjoint(z):
                             continue
-                        if set(z) & (set(x) | set(y)):
-                            continue
-                        emit((a,) + x + (b,) + z + (a,) + y + (b,), 2 + len(x) + len(z))
+                        middle = (a,) if a == b else (b,) + z + (a,)
+                        word = (a,) + x + middle + y + (b,)
+                        # Filler disjointness forces distinct followers after the two
+                        # leading anchor occurrences, i.e. shapes are proper by build.
+                        assert word[1] != word[len(x) + len(middle) + 1], f"improper rendering {word}"
+                        found.add(word)
     return sorted(found)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from unitrail.automaton import run
 from unitrail.mfw import _accepted_words, brute_mfw, constructive_mfw
+from unitrail.transposition import OneAnchor, find_proper_site, segments
 
 from conftest import all_strings, matches_binary_mfw
 
@@ -74,8 +75,22 @@ def test_accepted_pool_matches_full_scan(symbols, max_len):
 
 
 def test_generators_agree():
-    for size, max_len in ((2, 12), (3, 9), (4, 7), (3, 11), (4, 8)):
+    # (5, 7) is the first universe with words whose x, z and y are all
+    # nonempty: below m=5 a two-anchor word has at most two other symbols
+    for size, max_len in ((2, 12), (3, 9), (4, 7), (3, 11), (4, 8), (5, 7)):
         assert constructive_mfw(size, max_len) == brute_mfw(size, max_len)
+
+
+def test_witness_of_a_forbidden_word_spans_the_whole_word():
+    # a forbidden word is its anchor shape and nothing more, so its witness
+    # leaves nothing before the first anchor or after the last, and has one
+    # anchor exactly when the word starts and ends on the same symbol
+    for size, max_len in ((2, 12), (3, 9), (4, 7)):
+        for word in constructive_mfw(size, max_len):
+            site = find_proper_site(word)
+            parts = segments(word, site)
+            assert parts["u"] == parts["v"] == (), (word, site)
+            assert isinstance(site, OneAnchor) == (word[0] == word[-1]), (word, site)
 
 
 def test_walk_scales_with_the_accepted_language():

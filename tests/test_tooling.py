@@ -1,11 +1,18 @@
+import ast
 import importlib.util
+import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from unitrail.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_every_layer_the_benchmark_tracer_wraps_exists():
@@ -21,8 +28,7 @@ def test_every_layer_the_benchmark_tracer_wraps_exists():
 
 def traced_calls(argv):
     """Run one command under the benchmark tracer; return its call counts."""
-    root = TRACER.parents[1]
-    path = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
         [sys.executable, str(TRACER), *argv],
@@ -75,3 +81,55 @@ def test_traced_crosscheck_calls_every_layer_its_workload_requires():
         "grammar.build_grammar_nfa",
     ):
         assert calls.get(layer, 0) >= 1, layer
+
+
+def readme_block(heading, language):
+    """The lines of the first ``language`` code block under ``heading``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    fence = f"```{language}\n"
+    start = text.index(fence, text.index(heading)) + len(fence)
+    return text[start : text.index("```", start)].splitlines()
+
+
+def test_readme_check_examples_print_what_they_show(monkeypatch, capsys):
+    # each `printf '...' | unitrail check ...` example must print exactly
+    # the `# ` lines under it
+    lines = readme_block("## CLI", "sh")
+    examples = 0
+    for n, line in enumerate(lines):
+        if not line.startswith("printf '") or " | unitrail check" not in line:
+            continue
+        printf, command = line.split(" | ", 1)
+        stdin = shlex.split(printf)[1].replace("\\n", "\n")
+        shown = itertools.takewhile(lambda comment: comment.startswith("# "), lines[n + 1 :])
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        assert main(shlex.split(command)[1:]) == 0, line
+        assert capsys.readouterr().out == "".join(comment[2:] + "\n" for comment in shown), line
+        examples += 1
+    assert examples == 2
+
+
+def test_readme_library_values_are_what_the_library_returns():
+    # a statement's value is shown on the `# ` line under it, or else in
+    # its trailing comment up to the first ": "
+    lines = readme_block("## Library", "python")
+    namespace: dict = {}
+    values = 0
+    for n, line in enumerate(lines):
+        code, _, comment = line.partition(" # ")
+        code = code.strip()
+        if not code or code.startswith("#"):
+            continue
+        statement = ast.parse(code).body[0]
+        if isinstance(statement, ast.Expr):
+            value = eval(code, namespace)
+        else:
+            exec(code, namespace)
+            if not isinstance(statement, ast.Assign):
+                continue
+            value = namespace[statement.targets[0].id]
+        below = lines[n + 1] if n + 1 < len(lines) else ""
+        shown = below[2:] if below.startswith("# ") else comment.split(": ", 1)[0]
+        assert repr(value) == shown, line
+        values += 1
+    assert values == 4
