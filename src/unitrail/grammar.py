@@ -80,20 +80,26 @@ def successors(nfa: GrammarNFA, state: State, symbol: int) -> set:
     raise ValueError(f"not a grammar state: {state!r}")
 
 
-def iter_live_sets(nfa: GrammarNFA, trail: Trail):
-    """Subset simulation; yields the live state set after every symbol."""
+def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: set | None = None) -> bool:
+    """Whether the grammar derives ``trail``, by subset simulation.
+
+    The run starts from ``live``, or from a fresh ``{START}`` when it is
+    omitted, and leaves a given ``live`` holding the states after
+    ``trail``, so a caller can feed a trail in pieces and get the same
+    verdict and the same set as one call.  Every symbol is checked against
+    the alphabet before the first step: one outside it raises
+    ``ValueError`` and leaves ``live`` untouched.
+    """
     validate_trail(trail, nfa.size)
-    live = {START}
-    yield live
+    if live is None:
+        live = {START}
+    current = live
     for symbol in trail:
         step: set = set()
-        for state in live:
+        for state in current:
             step |= successors(nfa, state, symbol)
-        live = step
-        yield live
-
-
-def nfa_accepts(nfa: GrammarNFA, trail: Trail) -> bool:
-    for live in iter_live_sets(nfa, trail):
-        pass
+        current = step
+    if current is not live:
+        live.clear()
+        live |= current
     return ACCEPT in live

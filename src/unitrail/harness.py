@@ -10,13 +10,17 @@ For each string over a small alphabet the following must agree:
 The strict grammar variant is additionally audited one way: whatever it
 accepts must really be non-unique.  Strings it misses are recorded as
 completeness gaps rather than failures, so the delta stays visible.
+
+The sweep walks the trie of strings depth-first.  A grammar's verdict is
+a function of its live set, so each string's two live sets are one step
+off its parent's.  The automaton, the oracle and the scan run from
+scratch on every string, so each stays independent of the others.
 """
 
-import itertools
 import time
 
 from .automaton import run
-from .grammar import build_grammar_nfa, nfa_accepts
+from .grammar import START, build_grammar_nfa, nfa_accepts
 from .oracle import is_unique_trail
 from .transposition import has_proper_transposition
 
@@ -53,14 +57,20 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
         spent[name] += time.perf_counter() - begin
         return result
 
-    for length in range(1, max_len + 1):
-        for word in itertools.product(range(size), repeat=length):
+    # (prefix, amended live set, strict live set), depth first: at most
+    # size entries per length, so no level of the universe is held at once
+    stack = [((), {START}, {START})] if max_len >= 1 else []
+    while stack:
+        prefix, amended_live, strict_live = stack.pop()
+        for symbol in range(size):
+            word = prefix + (symbol,)
             report.checked += 1
             accepted = timed("automaton", run, word, size).accepted
             unique = timed("oracle", is_unique_trail, word)
             swappable = timed("transposition-scan", has_proper_transposition, word)
-            by_amended = timed("grammar-amended", nfa_accepts, amended, word)
-            by_strict = timed("grammar-strict", nfa_accepts, strict, word)
+            amended_next, strict_next = set(amended_live), set(strict_live)
+            by_amended = timed("grammar-amended", nfa_accepts, amended, (symbol,), amended_next)
+            by_strict = timed("grammar-strict", nfa_accepts, strict, (symbol,), strict_next)
             if not (accepted == unique == (not swappable) == (not by_amended)):
                 report.disagreements.append(
                     (word, {"automaton": accepted, "oracle": unique,
@@ -70,5 +80,11 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
                 report.strict_unsound.append(word)
             if swappable and not by_strict:
                 report.strict_gaps.append(word)
+            if len(word) < max_len:
+                stack.append((word, amended_next, strict_next))
+    # back to the order of a length-major sweep, which the CLI prints
+    report.disagreements.sort(key=lambda found: (len(found[0]), found[0]))
+    report.strict_unsound.sort(key=lambda word: (len(word), word))
+    report.strict_gaps.sort(key=lambda word: (len(word), word))
     report.timings = spent
     return report

@@ -9,7 +9,7 @@ second trail.
 import itertools
 from collections.abc import Iterator
 
-from .core import Multigraph, Trail, induced_graph
+from .core import Multigraph, Trail, validate_trail
 
 
 def enumerate_trails(graph: Multigraph, start: int) -> Iterator[Trail]:
@@ -22,7 +22,14 @@ def enumerate_trails(graph: Multigraph, start: int) -> Iterator[Trail]:
     """
     if not 0 <= start < graph.vertex_count:
         raise ValueError(f"start vertex {start} out of range")
-    remaining = dict(graph.arc_multiplicity)
+    return _trails(dict(graph.arc_multiplicity), start)
+
+
+def _trails(remaining: dict[tuple[int, int], int], start: int) -> Iterator[Trail]:
+    """The search behind :func:`enumerate_trails`.  It mutates
+    ``remaining``, the arc multiset, in place and restores it only as far
+    as it has backtracked, so a caller that stops early gets it back
+    partly consumed."""
     left = sum(remaining.values())
     if left == 0:
         yield (start,)
@@ -64,12 +71,17 @@ def is_unique_trail(trail: Trail) -> bool:
     """Whether the trail is the only Eulerian trail of its induced graph.
 
     The start vertex is fixed at the trail's first symbol.  The empty trail
-    counts as unique by convention.
+    counts as unique by convention.  The arcs are counted straight from the
+    trail's consecutive pairs; no :class:`Multigraph` is built.
     """
     if not trail:
         return True
-    size = max(trail) + 1
-    found = list(itertools.islice(enumerate_trails(induced_graph(trail, size), trail[0]), 2))
+    if min(trail) < 0:
+        validate_trail(trail, max(trail) + 1)
+    arcs: dict[tuple[int, int], int] = {}
+    for arc in zip(trail, trail[1:]):
+        arcs[arc] = arcs.get(arc, 0) + 1
+    found = list(itertools.islice(_trails(arcs, trail[0]), 2))
     if len(found) == 1 and found[0] != trail:
         raise RuntimeError("enumeration lost the defining trail; arc bookkeeping is broken")
     return len(found) == 1

@@ -2,14 +2,10 @@ import hashlib
 
 import pytest
 
-from unitrail.grammar import (
-    build_grammar_nfa,
-    iter_live_sets,
-    nfa_accepts,
-    successors,
-)
+from unitrail.grammar import START, build_grammar_nfa, nfa_accepts, successors
 from unitrail.transposition import has_proper_transposition
 
+from conftest import all_strings
 from reference import all_states
 
 
@@ -90,9 +86,40 @@ def test_single_symbol_grammars_generate_nothing():
 def test_live_sets_stay_within_the_state_space():
     nfa = build_grammar_nfa(3, "amended")
     states = set(all_states(nfa))
-    for group in iter_live_sets(nfa, (0, 1, 0, 2, 0, 1, 2)):
-        assert len(group) <= len(states) == 44
-        assert group <= states
+    live = {START}
+    for piece in [(), *((symbol,) for symbol in (0, 1, 0, 2, 0, 1, 2))]:
+        nfa_accepts(nfa, piece, live)
+        assert len(live) <= len(states) == 44
+        assert live <= states
+
+
+@pytest.mark.parametrize("mode", ["strict", "amended"])
+def test_nfa_accepts_is_split_invariant(mode):
+    # one call from START and one call per symbol through a shared live
+    # set reach the same verdict and the same set, as the sweep relies on
+    for size in (1, 2, 3):
+        nfa = build_grammar_nfa(size, mode)
+        for word in all_strings(size, 7):
+            whole = {START}
+            verdict = nfa_accepts(nfa, word, whole)
+            assert nfa_accepts(nfa, word) == verdict
+            live = {START}
+            for symbol in word:
+                stepped = nfa_accepts(nfa, (symbol,), live)
+            assert (stepped, live) == (verdict, whole), word
+
+
+def test_a_bad_symbol_leaves_the_live_set_untouched():
+    nfa = build_grammar_nfa(3, "amended")
+    live = {START}
+    nfa_accepts(nfa, (0, 1), live)
+    before = set(live)
+    with pytest.raises(ValueError) as fresh:
+        nfa_accepts(nfa, (0, 3))
+    with pytest.raises(ValueError) as stepped:
+        nfa_accepts(nfa, (0, 3), live)
+    assert str(stepped.value) == str(fresh.value) == "symbol 3 out of range for alphabet size 3"
+    assert live == before
 
 
 def test_export_lists_every_transition_once():

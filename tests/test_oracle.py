@@ -74,3 +74,13 @@ def test_trail_count_survives_arc_reversal():
         forward = sum(1 for _ in enumerate_trails(induced_graph(word, size), word[0]))
         backward_graph = induced_graph(word[::-1], size)
         assert forward == sum(1 for _ in enumerate_trails(backward_graph, word[-1]))
+
+
+def test_is_unique_trail_matches_the_enumeration():
+    # is_unique_trail counts arcs without a Multigraph; the answer must be
+    # whether the induced graph's enumeration yields exactly one trail
+    for word in all_strings(3, 8):
+        found = list(itertools.islice(enumerate_trails(induced_graph(word, 3), word[0]), 2))
+        assert is_unique_trail(word) == (len(found) == 1), word
+    with pytest.raises(ValueError):
+        is_unique_trail((0, -1))

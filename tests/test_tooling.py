@@ -81,6 +81,11 @@ def test_traced_crosscheck_calls_every_layer_its_workload_requires():
         "grammar.build_grammar_nfa",
     ):
         assert calls.get(layer, 0) >= 1, layer
+    # one call per word of (3,3), 39 words, and one per word and grammar:
+    # a sweep that skips a classifier on some words fails here
+    for layer in ("automaton.run", "oracle.is_unique_trail", "transposition.has_proper_transposition"):
+        assert calls[layer] == 39, layer
+    assert calls["grammar.nfa_accepts"] == 78
 
 
 def readme_block(heading, language):
