@@ -93,13 +93,9 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: set | None = None) -> bool:
     validate_trail(trail, nfa.size)
     if live is None:
         live = {START}
-    current = live
     for symbol in trail:
-        step: set = set()
-        for state in current:
-            step |= successors(nfa, state, symbol)
-        current = step
-    if current is not live:
+        current = tuple(live)
         live.clear()
-        live |= current
+        for state in current:
+            live |= successors(nfa, state, symbol)
     return ACCEPT in live

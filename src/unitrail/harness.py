@@ -13,11 +13,15 @@ completeness gaps rather than failures, so the delta stays visible.
 
 The sweep walks the trie of strings depth-first.  A grammar's verdict is
 a function of its live set, so each string's two live sets are one step
-off its parent's.  The automaton, the oracle and the scan run from
-scratch on every string, so each stays independent of the others.
+off its parent's.  The automaton and the scan run from scratch on every
+string, so each stays independent of the others.  The oracle runs once
+per relabelling class: renaming the symbols maps the trails of a word's
+graph one to one onto those of the renamed word's, start to start, so
+every word whose first-occurrence pattern (each symbol replaced by the
+index where it first occurs) is the same gets the same verdict.
 """
 
-import time
+from time import perf_counter
 
 from .automaton import run
 from .grammar import START, build_grammar_nfa, nfa_accepts
@@ -49,13 +53,10 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     strict = build_grammar_nfa(size, "strict")
     amended = build_grammar_nfa(size, "amended")
     report = CrosscheckReport(size, max_len)
-    spent = dict.fromkeys(CLASSIFIERS, 0.0)
-
-    def timed(name, fn, *args):
-        begin = time.perf_counter()
-        result = fn(*args)
-        spent[name] += time.perf_counter() - begin
-        return result
+    spent = [0.0] * len(CLASSIFIERS)
+    # first-occurrence pattern -> the oracle's verdict on the first word
+    # with that pattern
+    verdicts: dict[tuple, bool] = {}
 
     # (prefix, amended live set, strict live set), depth first: at most
     # size entries per length, so no level of the universe is held at once
@@ -65,12 +66,27 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
         for symbol in range(size):
             word = prefix + (symbol,)
             report.checked += 1
-            accepted = timed("automaton", run, word, size).accepted
-            unique = timed("oracle", is_unique_trail, word)
-            swappable = timed("transposition-scan", has_proper_transposition, word)
-            amended_next, strict_next = set(amended_live), set(strict_live)
-            by_amended = timed("grammar-amended", nfa_accepts, amended, (symbol,), amended_next)
-            by_strict = timed("grammar-strict", nfa_accepts, strict, (symbol,), strict_next)
+            t0 = perf_counter()
+            accepted = run(word, size).accepted
+            t1 = perf_counter()
+            pattern = tuple(map(word.index, word))
+            unique = verdicts.get(pattern)
+            if unique is None:
+                unique = verdicts[pattern] = is_unique_trail(word)
+            t2 = perf_counter()
+            swappable = has_proper_transposition(word)
+            t3 = perf_counter()
+            amended_next = set(amended_live)
+            by_amended = nfa_accepts(amended, (symbol,), amended_next)
+            t4 = perf_counter()
+            strict_next = set(strict_live)
+            by_strict = nfa_accepts(strict, (symbol,), strict_next)
+            t5 = perf_counter()
+            spent[0] += t1 - t0
+            spent[1] += t2 - t1
+            spent[2] += t3 - t2
+            spent[3] += t4 - t3
+            spent[4] += t5 - t4
             if not (accepted == unique == (not swappable) == (not by_amended)):
                 report.disagreements.append(
                     (word, {"automaton": accepted, "oracle": unique,
@@ -86,5 +102,5 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     report.disagreements.sort(key=lambda found: (len(found[0]), found[0]))
     report.strict_unsound.sort(key=lambda word: (len(word), word))
     report.strict_gaps.sort(key=lambda word: (len(word), word))
-    report.timings = spent
+    report.timings = dict(zip(CLASSIFIERS, spent))
     return report

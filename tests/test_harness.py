@@ -2,7 +2,8 @@ import pytest
 
 from unitrail.cli import main
 from unitrail.grammar import build_grammar_nfa, nfa_accepts
-from unitrail.harness import cross_validate
+from unitrail.harness import CLASSIFIERS, cross_validate
+from unitrail.oracle import is_unique_trail
 from unitrail.transposition import has_proper_transposition
 
 from conftest import all_strings
@@ -30,3 +31,28 @@ def test_short_sweeps_check_every_string_and_no_more(capsys):
     assert cross_validate(3, 1).checked == 3
     assert main(["crosscheck", "--alphabet-size", "3", "--max-len", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "checked 0 strings over alphabet size 3, lengths 1..0"
+
+
+def test_a_planted_oracle_fault_reaches_its_whole_class(monkeypatch):
+    # the sweep reuses one oracle verdict per relabelling class, so a
+    # fault on one word of the class of 0 1 0 1 must show on all six
+    # words a b a b with a != b, and on no other word
+    def faulty(word):
+        return is_unique_trail(word) != (tuple(map(word.index, word)) == (0, 1, 0, 1))
+
+    monkeypatch.setattr("unitrail.harness.is_unique_trail", faulty)
+    report = cross_validate(3, 4)
+    assert [word for word, _ in report.disagreements] == [
+        (a, b, a, b) for a in range(3) for b in range(3) if a != b
+    ]
+    for _, verdicts in report.disagreements:
+        assert verdicts["oracle"] != verdicts["automaton"]
+
+
+def test_timings_name_every_classifier_in_order(capsys):
+    timings = cross_validate(3, 3).timings
+    assert list(timings) == list(CLASSIFIERS)
+    assert all(isinstance(seconds, float) and seconds >= 0 for seconds in timings.values())
+    assert main(["crosscheck", "--alphabet-size", "3", "--max-len", "3"]) == 0
+    (line,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("timing: ")]
+    assert [field.split("=")[0] for field in line.split()[1:]] == list(CLASSIFIERS)

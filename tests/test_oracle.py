@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import random
 
 import pytest
 
@@ -84,3 +85,17 @@ def test_is_unique_trail_matches_the_enumeration():
         assert is_unique_trail(word) == (len(found) == 1), word
     with pytest.raises(ValueError):
         is_unique_trail((0, -1))
+
+
+def test_uniqueness_survives_relabelling():
+    # the crosscheck sweep asks the oracle once per first-occurrence
+    # pattern; that is sound only if renaming the symbols injectively
+    # never changes the verdict
+    rng = random.Random(0)
+    for word in all_strings(4, 6):
+        pattern = tuple(map(word.index, word))
+        names = rng.sample(range(100), 4)
+        renamed = tuple(names[s] for s in word)
+        verdict = is_unique_trail(word)
+        assert is_unique_trail(pattern) == verdict, word
+        assert is_unique_trail(renamed) == verdict, (word, renamed)

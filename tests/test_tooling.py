@@ -82,10 +82,12 @@ def test_traced_crosscheck_calls_every_layer_its_workload_requires():
     ):
         assert calls.get(layer, 0) >= 1, layer
     # one call per word of (3,3), 39 words, and one per word and grammar:
-    # a sweep that skips a classifier on some words fails here
-    for layer in ("automaton.run", "oracle.is_unique_trail", "transposition.has_proper_transposition"):
+    # a sweep that skips a classifier on some words fails here; the oracle
+    # is asked once per relabelling class, 1 + 2 + 5 of them
+    for layer in ("automaton.run", "transposition.has_proper_transposition"):
         assert calls[layer] == 39, layer
     assert calls["grammar.nfa_accepts"] == 78
+    assert calls["oracle.is_unique_trail"] == 8
 
 
 def readme_block(heading, language):
