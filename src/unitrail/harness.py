@@ -18,7 +18,9 @@ string, so each stays independent of the others.  The oracle runs once
 per relabelling class: renaming the symbols maps the trails of a word's
 graph one to one onto those of the renamed word's, start to start, so
 every word whose first-occurrence pattern (each symbol replaced by the
-index where it first occurs) is the same gets the same verdict.
+index where it first occurs) is the same gets the same verdict.  That
+pattern is read off the trie like the live sets: a string's pattern is
+its parent's plus one index.
 """
 
 from time import perf_counter
@@ -53,23 +55,27 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     strict = build_grammar_nfa(size, "strict")
     amended = build_grammar_nfa(size, "amended")
     report = CrosscheckReport(size, max_len)
-    spent = [0.0] * len(CLASSIFIERS)
+    spent_automaton = spent_oracle = spent_scan = spent_amended = spent_strict = 0.0
     # first-occurrence pattern -> the oracle's verdict on the first word
     # with that pattern
     verdicts: dict[tuple, bool] = {}
 
-    # (prefix, amended live set, strict live set), depth first: at most
-    # size entries per length, so no level of the universe is held at once
-    stack = [((), {START}, {START})] if max_len >= 1 else []
+    # (prefix, its first-occurrence pattern, amended live set, strict live
+    # set), depth first: at most size entries per length, so no level of
+    # the universe is held at once
+    stack = [((), (), {START}, {START})] if max_len >= 1 else []
     while stack:
-        prefix, amended_live, strict_live = stack.pop()
+        prefix, prefix_pattern, amended_live, strict_live = stack.pop()
+        report.checked += size
+        has_children = len(prefix) + 1 < max_len
         for symbol in range(size):
             word = prefix + (symbol,)
-            report.checked += 1
             t0 = perf_counter()
             accepted = run(word, size).accepted
             t1 = perf_counter()
-            pattern = tuple(map(word.index, word))
+            # tuple(map(word.index, word)) in O(n): the parent's pattern
+            # plus where symbol first occurs, len(prefix) if it is fresh
+            pattern = prefix_pattern + (word.index(symbol),)
             unique = verdicts.get(pattern)
             if unique is None:
                 unique = verdicts[pattern] = is_unique_trail(word)
@@ -82,25 +88,23 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
             strict_next = set(strict_live)
             by_strict = nfa_accepts(strict, (symbol,), strict_next)
             t5 = perf_counter()
-            spent[0] += t1 - t0
-            spent[1] += t2 - t1
-            spent[2] += t3 - t2
-            spent[3] += t4 - t3
-            spent[4] += t5 - t4
+            spent_automaton += t1 - t0
+            spent_oracle += t2 - t1
+            spent_scan += t3 - t2
+            spent_amended += t4 - t3
+            spent_strict += t5 - t4
             if not (accepted == unique == (not swappable) == (not by_amended)):
                 report.disagreements.append(
                     (word, {"automaton": accepted, "oracle": unique,
                             "transposition-scan": not swappable, "grammar-amended": not by_amended})
                 )
-            if by_strict and not swappable:
-                report.strict_unsound.append(word)
-            if swappable and not by_strict:
-                report.strict_gaps.append(word)
-            if len(word) < max_len:
-                stack.append((word, amended_next, strict_next))
+            if by_strict != swappable:
+                (report.strict_unsound if by_strict else report.strict_gaps).append(word)
+            if has_children:
+                stack.append((word, pattern, amended_next, strict_next))
     # back to the order of a length-major sweep, which the CLI prints
     report.disagreements.sort(key=lambda found: (len(found[0]), found[0]))
     report.strict_unsound.sort(key=lambda word: (len(word), word))
     report.strict_gaps.sort(key=lambda word: (len(word), word))
-    report.timings = dict(zip(CLASSIFIERS, spent))
+    report.timings = dict(zip(CLASSIFIERS, (spent_automaton, spent_oracle, spent_scan, spent_amended, spent_strict)))
     return report

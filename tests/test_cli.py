@@ -5,6 +5,7 @@ import os
 import select
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -114,6 +115,28 @@ def test_check_alphabet_size_cap(monkeypatch, capsys):
     code, _, err = run_cli(["check", "--alphabet-size", "2"], monkeypatch, capsys, stdin="012\n")
     assert code == EXIT_USAGE
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--explain"], ["--json"]], ids=["plain", "explain", "json"])
+def test_check_alphabet_size_changes_no_output(mode, monkeypatch, capsys):
+    # padded vertices are never entered: every string of (3, 0..6) gets the
+    # same verdict, rejection and witness with and without padding
+    stdin = "".join("".join(word) + "\n" for n in range(7) for word in itertools.product("012", repeat=n))
+    code, out, _ = run_cli(["check", *mode], monkeypatch, capsys, stdin=stdin)
+    assert code == EXIT_OK
+    assert run_cli(["check", "--alphabet-size", "7", *mode], monkeypatch, capsys, stdin=stdin) == (code, out, "")
+
+
+def test_check_alphabet_size_costs_no_memory_per_padded_vertex(monkeypatch, capsys):
+    # the line is run over its own 2 symbols, not a million padded vertices
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["check", "--alphabet-size", "1000000"], monkeypatch, capsys, stdin="0010\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_OK, "0\tNONUNIQUE\t4\n")
+    assert peak < 2**20
 
 
 def test_check_json_and_plain_carry_identical_information(monkeypatch, capsys):

@@ -1,5 +1,9 @@
+import itertools
+
 import pytest
 
+from unitrail import harness
+from unitrail.automaton import Verdict, run
 from unitrail.cli import main
 from unitrail.grammar import build_grammar_nfa, nfa_accepts
 from unitrail.harness import CLASSIFIERS, cross_validate
@@ -33,20 +37,42 @@ def test_short_sweeps_check_every_string_and_no_more(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "checked 0 strings over alphabet size 3, lengths 1..0"
 
 
-def test_a_planted_oracle_fault_reaches_its_whole_class(monkeypatch):
+@pytest.mark.parametrize("pattern,members", [
+    # a b a b with a != b: the carried pattern repeats a symbol
+    pytest.param((0, 1, 0, 1), [(a, b, a, b) for a in range(3) for b in range(3) if a != b], id="0101"),
+    # a b c all distinct: every symbol of the carried pattern is fresh
+    pytest.param((0, 1, 2), list(itertools.permutations(range(3))), id="012"),
+])
+def test_a_planted_oracle_fault_reaches_its_whole_class(pattern, members, monkeypatch):
     # the sweep reuses one oracle verdict per relabelling class, so a
-    # fault on one word of the class of 0 1 0 1 must show on all six
-    # words a b a b with a != b, and on no other word
+    # fault on one word of a class must show on every word of it, and on
+    # no other word
     def faulty(word):
-        return is_unique_trail(word) != (tuple(map(word.index, word)) == (0, 1, 0, 1))
+        return is_unique_trail(word) != (tuple(map(word.index, word)) == pattern)
 
     monkeypatch.setattr("unitrail.harness.is_unique_trail", faulty)
     report = cross_validate(3, 4)
-    assert [word for word, _ in report.disagreements] == [
-        (a, b, a, b) for a in range(3) for b in range(3) if a != b
-    ]
+    assert [word for word, _ in report.disagreements] == members
     for _, verdicts in report.disagreements:
         assert verdicts["oracle"] != verdicts["automaton"]
+
+
+@pytest.mark.parametrize("classifier", [harness.run, harness.has_proper_transposition], ids=lambda f: f.__name__)
+def test_no_classifier_under_test_is_shared_across_a_class(classifier, monkeypatch):
+    # only the oracle's verdict is reused per class: the automaton and the
+    # scan run on every word, so a fault on 0 1 0 1 alone shows on that
+    # word alone, not on the other five words of its class
+    target = (0, 1, 0, 1)
+    if classifier is run:
+        def faulty(word, size):
+            return Verdict(False, 4) if word == target else run(word, size)
+    else:
+        def faulty(word):
+            return has_proper_transposition(word) != (word == target)
+
+    monkeypatch.setattr(f"unitrail.harness.{classifier.__name__}", faulty)
+    report = cross_validate(3, 4)
+    assert [word for word, _ in report.disagreements] == [target]
 
 
 def test_timings_name_every_classifier_in_order(capsys):
