@@ -1,15 +1,7 @@
 """Streaming uniqueness checks for Eulerian trails of trail-induced multigraphs."""
 
 from .automaton import AutomatonState, Verdict, advance, init_state, run
-from .core import (
-    Alphabet,
-    Multigraph,
-    Trail,
-    TrailParseError,
-    chars_alphabet,
-    induced_graph,
-    parse_trail,
-)
+from .core import Alphabet, Trail, TrailParseError, chars_alphabet, parse_trail
 from .grammar import GrammarNFA, build_grammar_nfa, nfa_accepts
 from .harness import CrosscheckReport, cross_validate
 from .mfw import brute_mfw, constructive_mfw
@@ -31,7 +23,6 @@ __all__ = [
     "AutomatonState",
     "CrosscheckReport",
     "GrammarNFA",
-    "Multigraph",
     "OneAnchor",
     "Trail",
     "TrailParseError",
@@ -48,7 +39,6 @@ __all__ = [
     "enumerate_trails",
     "find_proper_site",
     "has_proper_transposition",
-    "induced_graph",
     "init_state",
     "is_unique_trail",
     "nfa_accepts",

@@ -1,7 +1,8 @@
 """Command-line interface: check, trails, mfw, crosscheck.
 
-Exit codes: 0 for success (including NONUNIQUE verdicts), 2 when two
-classifiers that must agree do not, 64 for usage or input parse errors.
+Exit codes: 0 for success (including NONUNIQUE verdicts), 1 when the
+reader closes stdout before the output ends, 2 when two classifiers that
+must agree do not, 64 for usage or input parse errors.
 All stdout output is deterministic for a given input and flag set; the
 crosscheck timing summary goes to stderr.
 """
@@ -9,16 +10,18 @@ crosscheck timing summary goes to stderr.
 import argparse
 import contextlib
 import itertools
+import os
 import sys
 
 from .automaton import run
-from .core import Alphabet, TrailParseError, chars_alphabet, induced_graph, parse_trail
+from .core import Alphabet, TrailParseError, chars_alphabet, parse_trail
 from .harness import cross_validate
 from .mfw import brute_mfw, constructive_mfw
 from .oracle import enumerate_trails
 from .transposition import TwoAnchors, apply_transposition, find_proper_site, segments
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
 
@@ -146,12 +149,10 @@ def cmd_trails(args) -> int:
         return _usage_error("--limit must be at least 1")
     try:
         trail, alphabet = parse_trail(args.sequence.strip(), tokens=args.tokens)
-    except TrailParseError as exc:
+        trails = enumerate_trails(trail)  # checks the trail before the search
+    except ValueError as exc:
         return _usage_error(str(exc))
-    if not trail:
-        return _usage_error("empty input sequence")
-    graph = induced_graph(trail, alphabet.size)
-    for found in itertools.islice(enumerate_trails(graph, trail[0]), args.limit):
+    for found in itertools.islice(trails, args.limit):
         print(alphabet.render(found, args.tokens), flush=True)
     return EXIT_OK
 
@@ -239,7 +240,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does; Python flushes
+        # stdout again at exit, so point it at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

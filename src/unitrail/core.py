@@ -1,12 +1,12 @@
-"""Symbols, trails, and trail-induced multigraphs.
+"""Symbols, alphabets and trails.
 
 A trail is a plain tuple of dense integer vertex ids.  Token names exist
 only at the I/O boundary (parsing and rendering); everything downstream
-works on ids 0..m-1.
+works on ids 0..m-1.  The graph a trail induces needs no type of its
+own: its arcs are the trail's consecutive pairs, and the oracle counts
+them from the trail.
 """
 
-from collections.abc import Mapping
-from types import MappingProxyType
 from typing import NamedTuple
 
 Trail = tuple[int, ...]
@@ -77,46 +77,3 @@ def validate_trail(trail: Trail, size: int) -> None:
         if not 0 <= s < size:
             raise ValueError(f"symbol {s} out of range for alphabet size {size}")
 
-
-class _MultigraphFields(NamedTuple):
-    vertex_count: int
-    arc_multiplicity: Mapping[tuple[int, int], int]
-
-
-class Multigraph(_MultigraphFields):
-    """Directed multigraph as an arc multiset over ordered vertex pairs.
-
-    Self-loops and parallel arcs are permitted; vertices with no incident
-    arcs simply stay inert.  The arc mapping is a read-only copy of the one
-    passed in, so a graph can be hashed and never changes.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, vertex_count: int, arc_multiplicity: Mapping[tuple[int, int], int] = MappingProxyType({})):
-        arcs = MappingProxyType(dict(arc_multiplicity))
-        for (u, v), count in arcs.items():
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"arc ({u}, {v}) has endpoint outside 0..{vertex_count - 1}")
-            if count < 1:
-                raise ValueError("arc multiplicities must be positive")
-        return tuple.__new__(cls, (vertex_count, arcs))
-
-    @classmethod
-    def _make(cls, fields):
-        # _replace builds through _make; keep it on the checked path
-        return cls(*fields)
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, frozenset(self.arc_multiplicity.items())))
-
-
-def induced_graph(trail: Trail, size: int) -> Multigraph:
-    """Multigraph whose arcs are the trail's consecutive symbol pairs."""
-    if not trail:
-        raise ValueError("cannot induce a graph from the empty trail")
-    validate_trail(trail, size)
-    arcs: dict[tuple[int, int], int] = {}
-    for u, v in zip(trail, trail[1:]):
-        arcs[(u, v)] = arcs.get((u, v), 0) + 1
-    return Multigraph(size, arcs)

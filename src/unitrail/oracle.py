@@ -1,44 +1,52 @@
 """Ground truth by exhaustive search over Eulerian trails.
 
-Backtracking over remaining arc multiplicities, branching in ascending
-vertex order so the output is lexicographic.  Used to cross-validate every
-other classifier in the package; uniqueness queries early-exit after the
-second trail.
+Every graph the package asks about is the one a trail induces: its arcs
+are the trail's consecutive symbol pairs, with multiplicity, and its
+trails start at the trail's first symbol.  So the oracle takes the trail
+itself.  It backtracks over the remaining arc multiplicities, branching
+in ascending vertex order so the output is lexicographic.  Used to
+cross-validate every other classifier in the package; uniqueness queries
+early-exit after the second trail.
 """
 
 import itertools
 from collections.abc import Iterator
 
-from .core import Multigraph, Trail, validate_trail
+from .core import Trail
 
 
-def enumerate_trails(graph: Multigraph, start: int) -> Iterator[Trail]:
-    """Yield every complete trail of ``graph`` from ``start``, lexicographic.
+def enumerate_trails(trail: Trail) -> Iterator[Trail]:
+    """Yield every Eulerian trail of ``trail``'s induced graph, lexicographic.
 
-    A complete trail consumes every arc exactly once.  A zero-arc graph has
-    the single trail ``(start,)``; a graph that cannot be fully traversed
-    from ``start`` yields no trails at all.  Each trail is yielded as soon
-    as it is found, so a caller that stops early stops the search.
+    Each yielded trail starts at ``trail[0]`` and consumes every arc
+    exactly once, so ``trail`` itself is among them; a one-symbol trail
+    has itself as its only trail.  The input is checked and the arcs are
+    counted when this is called, before the first trail is asked for.
+    Each trail is yielded as soon as it is found, so a caller that stops
+    early stops the search.
     """
-    if not 0 <= start < graph.vertex_count:
-        raise ValueError(f"start vertex {start} out of range")
-    return _trails(dict(graph.arc_multiplicity), start)
+    if not trail:
+        raise ValueError("the empty trail induces no graph")
+    if min(trail) < 0:
+        raise ValueError(f"symbol {min(trail)} is negative")
+    arcs: dict[tuple[int, int], int] = {}
+    for arc in zip(trail, trail[1:]):
+        arcs[arc] = arcs.get(arc, 0) + 1
+    return _trails(arcs, trail[0], len(trail))
 
 
-def _trails(remaining: dict[tuple[int, int], int], start: int) -> Iterator[Trail]:
-    """The search behind :func:`enumerate_trails`.  It mutates
-    ``remaining``, the arc multiset, in place and restores it only as far
-    as it has backtracked, so a caller that stops early gets it back
-    partly consumed."""
-    left = sum(remaining.values())
-    if left == 0:
+def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> Iterator[Trail]:
+    """The search behind :func:`enumerate_trails`, over the arc multiset
+    ``remaining`` whose trails have ``length`` symbols.  A generator
+    function runs nothing until its first trail is asked for, so the
+    checks and the count stay in :func:`enumerate_trails`, which runs
+    them at the call."""
+    if length == 1:
         yield (start,)
         return
     successors: dict[int, list[int]] = {}
-    for u, v in remaining:
+    for u, v in sorted(remaining):
         successors.setdefault(u, []).append(v)
-    for targets in successors.values():
-        targets.sort()
 
     path = [start]
     # One frame per path position: an iterator over candidate next vertices.
@@ -47,41 +55,31 @@ def _trails(remaining: dict[tuple[int, int], int], start: int) -> Iterator[Trail
         frame = frames[-1]
         for nxt in frame:
             arc = (path[-1], nxt)
-            if not remaining.get(arc, 0):
+            if not remaining[arc]:
                 continue
             remaining[arc] -= 1
-            left -= 1
             path.append(nxt)
-            if left:
+            if len(path) < length:
                 frames.append(iter(successors.get(nxt, ())))
                 break
             yield tuple(path)
             path.pop()
             remaining[arc] += 1
-            left += 1
         else:
             frames.pop()
             if frames:
                 nxt = path.pop()
                 remaining[(path[-1], nxt)] += 1
-                left += 1
 
 
 def is_unique_trail(trail: Trail) -> bool:
     """Whether the trail is the only Eulerian trail of its induced graph.
 
-    The start vertex is fixed at the trail's first symbol.  The empty trail
-    counts as unique by convention.  The arcs are counted straight from the
-    trail's consecutive pairs; no :class:`Multigraph` is built.
+    The empty trail counts as unique by convention.
     """
     if not trail:
         return True
-    if min(trail) < 0:
-        validate_trail(trail, max(trail) + 1)
-    arcs: dict[tuple[int, int], int] = {}
-    for arc in zip(trail, trail[1:]):
-        arcs[arc] = arcs.get(arc, 0) + 1
-    found = list(itertools.islice(_trails(arcs, trail[0]), 2))
+    found = list(itertools.islice(enumerate_trails(trail), 2))
     if len(found) == 1 and found[0] != trail:
         raise RuntimeError("enumeration lost the defining trail; arc bookkeeping is broken")
     return len(found) == 1

@@ -1,11 +1,12 @@
-"""What only the tests use: the O(n⁴) list of every site, every grammar
-state, the acceptance test on an automaton state and the checked shift
-lemma.  The package never calls them.
+"""What only the tests use: the arcs of a trail's graph, the O(n⁴) list of
+every site, every grammar state, the acceptance test on an automaton state
+and the checked shift lemma.  The package never calls them.
 
 Import it the way the tests import ``conftest``:
 ``from reference import all_sites``.
 """
 
+from collections import Counter
 from itertools import product
 
 from unitrail.automaton import AutomatonState
@@ -19,6 +20,11 @@ from unitrail.transposition import (
     apply_transposition,
     validate_site,
 )
+
+
+def arcs(trail: Trail) -> Counter:
+    """The graph a trail induces, as the multiset of its consecutive pairs."""
+    return Counter(zip(trail, trail[1:]))
 
 
 def is_accepting(state: AutomatonState) -> bool:

@@ -12,7 +12,6 @@ import pytest
 
 from unitrail.automaton import run
 from unitrail.cli import main
-from unitrail.core import induced_graph
 from unitrail.harness import cross_validate
 from unitrail.mfw import brute_mfw, constructive_mfw
 from unitrail.oracle import enumerate_trails
@@ -157,4 +156,4 @@ def test_criterion_7_worked_example():
     site = TwoAnchors(0, 3, 4, 5)
     assert apply_transposition(word, site) == word
     assert not is_proper(word, site)
-    assert list(enumerate_trails(induced_graph(word, 2), 0)) == [word]
+    assert list(enumerate_trails(word)) == [word]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import unitrail
-from unitrail.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from unitrail.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from unitrail.harness import CrosscheckReport
 
 
@@ -312,6 +312,30 @@ def test_trails_empty_sequence_is_a_usage_error(monkeypatch, capsys):
     code, _, err = run_cli(["trails", ""], monkeypatch, capsys)
     assert code == EXIT_USAGE
     assert "empty" in err
+
+
+@pytest.mark.parametrize("command", ["trails", "check"])
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(command, tmp_path):
+    # each command has far more output than a pipe buffers: the 8! trails
+    # of the star 0 1 0 2 .. 0 8 0, or 20,000 verdicts
+    star = " ".join(f"0 {v}" for v in range(1, 9)) + " 0"
+    big = tmp_path / "big.txt"
+    big.write_text("0010\n" * 20_000)
+    argv, first = {
+        "trails": (["trails", "--tokens", star], star),
+        "check": (["check", str(big)], "0\tNONUNIQUE\t4"),
+    }[command]
+    proc = start_cli(argv)
+    try:
+        proc.stdin.close()
+        assert proc.stdout.readline() == f"{first}\n".encode()
+        proc.stdout.close()
+        assert proc.wait(timeout=30) == EXIT_PIPE
+        assert b"Traceback" not in proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_mfw_both_agree_over_binary(monkeypatch, capsys):

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unitrail.automaton import run
-from unitrail.core import induced_graph
 from unitrail.oracle import is_unique_trail
 from unitrail.transposition import (
     OneAnchor,
@@ -19,7 +18,7 @@ from unitrail.transposition import (
 )
 
 from conftest import all_strings
-from reference import all_sites, is_proper, properize
+from reference import all_sites, arcs, is_proper, properize
 
 
 def test_apply_one_anchor_swaps_adjacent_segments():
@@ -124,10 +123,9 @@ def test_apply_preserves_graph_start_and_length(trail, data):
         return
     site = data.draw(st.sampled_from(sites))
     swapped = apply_transposition(trail, site)
-    size = max(trail) + 1
     assert len(swapped) == len(trail)
     assert swapped[0] == trail[0]
-    assert induced_graph(swapped, size) == induced_graph(trail, size)
+    assert arcs(swapped) == arcs(trail)
     if is_proper(trail, site):
         assert swapped != trail
 
@@ -141,11 +139,10 @@ def test_witness_agrees_with_scan_and_oracle_small_scale():
         if site is not None:
             other = apply_transposition(word, site)
             assert other != word
-            size = max(word) + 1
-            assert induced_graph(other, size) == induced_graph(word, size)
+            assert arcs(other) == arcs(word)
 
 
-def assert_witness_fits(word, size, site, rejected_at):
+def assert_witness_fits(word, site, rejected_at):
     """The site is well formed and proper, names only indices below the
     first rejection, and its image is a different trail of the same graph."""
     validate_site(word, site)
@@ -153,7 +150,7 @@ def assert_witness_fits(word, size, site, rejected_at):
     assert max(site) < rejected_at, (word, site)
     other = apply_transposition(word, site)
     assert other != word
-    assert induced_graph(other, size) == induced_graph(word, size)
+    assert arcs(other) == arcs(word)
 
 
 def test_witness_holds_to_scan_and_reference_at_full_range():
@@ -165,7 +162,7 @@ def test_witness_holds_to_scan_and_reference_at_full_range():
             reference = any(is_proper(word, other) for other in all_sites(word))
             assert (site is not None) == has_proper_transposition(word) == reference, word
             if site is not None:
-                assert_witness_fits(word, size, site, run(word, size).first_rejection)
+                assert_witness_fits(word, site, run(word, size).first_rejection)
 
 
 def test_witness_and_scan_on_random_trails():
@@ -179,7 +176,7 @@ def test_witness_and_scan_on_random_trails():
             assert site is None and not has_proper_transposition(word), word
             continue
         assert site is not None, word
-        assert_witness_fits(word, size, site, r)
+        assert_witness_fits(word, site, r)
         assert not has_proper_transposition(word[: r - 1]), word
         assert has_proper_transposition(word[:r]), word
 
@@ -201,7 +198,7 @@ def test_witness_on_long_walks_rejected_late():
         walk.append(rng.choice(rng.choice(cycles)))
         word, size = tuple(walk), max(walk) + 1
         assert run(word, size).first_rejection == len(word), word
-        assert_witness_fits(word, size, find_proper_site(word), len(word))
+        assert_witness_fits(word, find_proper_site(word), len(word))
 
 
 def test_prefix_witness_is_a_proper_site_of_the_whole_word():
@@ -216,7 +213,7 @@ def test_prefix_witness_is_a_proper_site_of_the_whole_word():
             assert site is not None and is_proper(word, site), word
             other = apply_transposition(word, site)
             assert other != word
-            assert induced_graph(other, size) == induced_graph(word, size)
+            assert arcs(other) == arcs(word)
             assert find_proper_site(word[: r - 1]) is None, word
 
 

@@ -8,7 +8,6 @@ import unitrail
 from unitrail import (
     AutomatonState,
     find_proper_site,
-    induced_graph,
     init_state,
     parse_trail,
     run,
@@ -23,10 +22,6 @@ VALUES = [
     (lambda: run((0, 0, 1, 0), 2), "Verdict(accepted=False, first_rejection=4)"),
     (lambda: run((0, 1), 2), "Verdict(accepted=True, first_rejection=None)"),
     (lambda: parse_trail("a b a", tokens=True)[1], "Alphabet(size=2, names=('a', 'b'))"),
-    (
-        lambda: induced_graph((0, 0, 1, 0), 2),
-        "Multigraph(vertex_count=2, arc_multiplicity=mappingproxy({(0, 0): 1, (0, 1): 1, (1, 0): 1}))",
-    ),
     (lambda: build_grammar_nfa(2, "amended"), "GrammarNFA(size=2, mode='amended')"),
     (lambda: TwoAnchors(0, 3, 4, 5), "TwoAnchors(i=0, p=3, j=4, q=5)"),
     (lambda: find_proper_site((0, 0, 1, 0)), "OneAnchor(i=0, j=1, k=3)"),
@@ -71,13 +66,6 @@ def test_replace_runs_the_same_checks_as_the_constructor():
         run((0, 0, 1, 0), 2)._replace(first_rejection=None)
     with pytest.raises(ValueError):
         parse_trail("ab")[1]._replace(names=("a", "a"))
-    graph = induced_graph((0, 1), 2)
-    with pytest.raises(ValueError):
-        graph._replace(arc_multiplicity={(0, 5): 1})
-    arcs = {(1, 0): 2}
-    moved = graph._replace(arc_multiplicity=arcs)
-    arcs[(0, 0)] = 1
-    assert moved.arc_multiplicity == {(1, 0): 2}
     assert run((0, 1), 2)._replace() == run((0, 1), 2)
 
 
