@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unitrail.core import Alphabet, TrailParseError, chars_alphabet, parse_trail
+from unitrail.oracle import enumerate_trails
 
 from reference import arcs
 
@@ -55,6 +56,20 @@ def test_induced_graph_single_vertex_has_no_arcs():
 
 def test_induced_graph_parallel_arcs_accumulate():
     assert arcs((0, 1, 0, 1, 0)) == {(0, 1): 2, (1, 0): 2}
+
+
+# The oracle builds the induced graph of the trail it is given, so it is the
+# oracle that refuses a trail with no graph.
+
+
+def test_induced_graph_rejects_empty_trail():
+    with pytest.raises(ValueError, match="empty trail"):
+        enumerate_trails(())
+
+
+def test_induced_graph_rejects_out_of_range_symbol():
+    with pytest.raises(ValueError, match="symbol -2 is negative"):
+        enumerate_trails((0, 1, -2))
 
 
 @given(trails.filter(bool))
