@@ -14,8 +14,10 @@ shapes:
 * ``await(b)``         past the second occurrence, waiting for the mark,
 * ``accept``           the mark recurred; absorbing.
 
-Every arc comes from one rule, ``successors``, so nothing is built per
-alphabet: a run steps only its live set of states (subset simulation).
+Every arc comes from one rule, ``step``, which moves a whole collection
+of states on one symbol into an output set, so nothing is built per
+alphabet: a run steps only its live set of states (subset simulation),
+with one call of the rule per symbol.
 Nothing here lists the 2 + 2m + m² + m³ states; the tests do, to check the
 rule over the whole space.
 The two variants differ by one production.  In ``strict`` mode the mark
@@ -36,48 +38,69 @@ START: State = ("start",)
 ACCEPT: State = ("accept",)
 
 
-class GrammarNFA(NamedTuple):
+class _GrammarFields(NamedTuple):
     size: int
     mode: str
 
 
+class GrammarNFA(_GrammarFields):
+    """An alphabet size of at least 1 and a mode, ``strict`` or ``amended``."""
+
+    __slots__ = ()
+
+    def __new__(cls, size: int, mode: str):
+        if size < 1:
+            raise ValueError("alphabet size must be at least 1")
+        if mode not in ("strict", "amended"):
+            raise ValueError(f"mode must be 'strict' or 'amended', not {mode!r}")
+        return tuple.__new__(cls, (size, mode))
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make; keep it on the checked path
+        return cls(*fields)
+
+
 def build_grammar_nfa(size: int, mode: str = "strict") -> GrammarNFA:
-    """Check the alphabet size and mode; the arcs are computed on demand."""
-    if size < 1:
-        raise ValueError("alphabet size must be at least 1")
-    if mode not in ("strict", "amended"):
-        raise ValueError(f"mode must be 'strict' or 'amended', not {mode!r}")
+    """The grammar over ``size`` symbols in ``mode``; its arcs are computed
+    on demand."""
     return GrammarNFA(size, mode)
 
 
-def successors(nfa: GrammarNFA, state: State, symbol: int) -> set:
-    """The states that ``state`` moves to on ``symbol``."""
+def step(nfa: GrammarNFA, states, symbol: int, into: set) -> None:
+    """Add to ``into`` the states that each of ``states`` moves to on ``symbol``."""
     d = symbol
-    match state:
-        # span first: it makes up most of every live set
-        case ("span", a, c, b):
-            found = {state, ("span", a, c, d)}
-            if d == a:
-                found.add(("branch", c, b))
-            return found
-        case ("start",):
-            return {START, ("anchor", d)}
-        case ("anchor", a):
-            found = {("span", a, d, d)}
-            if nfa.mode == "amended":
-                found.add(("span", a, d, a))
-            if d == a:
-                found.add(("branch", a, a))
-            return found
-        case ("branch", c, b):
-            if d == c:
-                return set()
-            return {("await", b), ACCEPT} if d == b else {("await", b)}
-        case ("await", b):
-            return {state, ACCEPT} if d == b else {state}
-        case ("accept",):
-            return {ACCEPT}
-    raise ValueError(f"not a grammar state: {state!r}")
+    add = into.add
+    for state in states:
+        match state:
+            # span first: it makes up most of every live set
+            case ("span", a, c, b):
+                add(state)
+                add(("span", a, c, d))
+                if d == a:
+                    add(("branch", c, b))
+            case ("start",):
+                add(START)
+                add(("anchor", d))
+            case ("anchor", a):
+                add(("span", a, d, d))
+                if nfa.mode == "amended":
+                    add(("span", a, d, a))
+                if d == a:
+                    add(("branch", a, a))
+            case ("branch", c, b):
+                if d != c:
+                    add(("await", b))
+                    if d == b:
+                        add(ACCEPT)
+            case ("await", b):
+                add(state)
+                if d == b:
+                    add(ACCEPT)
+            case ("accept",):
+                add(ACCEPT)
+            case _:
+                raise ValueError(f"not a grammar state: {state!r}")
 
 
 def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: set | None = None) -> bool:
@@ -96,6 +119,5 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: set | None = None) -> bool:
     for symbol in trail:
         current = tuple(live)
         live.clear()
-        for state in current:
-            live |= successors(nfa, state, symbol)
+        step(nfa, current, symbol, live)
     return ACCEPT in live

@@ -21,6 +21,12 @@ every word whose first-occurrence pattern (each symbol replaced by the
 index where it first occurs) is the same gets the same verdict.  That
 pattern is read off the trie like the live sets: a string's pattern is
 its parent's plus one index.
+
+Each trie node's strings, its ``size`` children, are checked as one
+batch: every classifier runs over all of them, one call per string,
+between two clock reads, and the report's timings are the sums of those
+per-node batches.  A grammar's timing includes copying the parent's live
+set for each child.
 """
 
 from time import perf_counter
@@ -67,32 +73,34 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     while stack:
         prefix, prefix_pattern, amended_live, strict_live = stack.pop()
         report.checked += size
-        has_children = len(prefix) + 1 < max_len
-        for symbol in range(size):
-            word = prefix + (symbol,)
-            t0 = perf_counter()
-            accepted = run(word, size).accepted
-            t1 = perf_counter()
-            # tuple(map(word.index, word)) in O(n): the parent's pattern
-            # plus where symbol first occurs, len(prefix) if it is fresh
-            pattern = prefix_pattern + (word.index(symbol),)
-            unique = verdicts.get(pattern)
-            if unique is None:
-                unique = verdicts[pattern] = is_unique_trail(word)
-            t2 = perf_counter()
-            swappable = has_proper_transposition(word)
-            t3 = perf_counter()
-            amended_next = set(amended_live)
-            by_amended = nfa_accepts(amended, (symbol,), amended_next)
-            t4 = perf_counter()
-            strict_next = set(strict_live)
-            by_strict = nfa_accepts(strict, (symbol,), strict_next)
-            t5 = perf_counter()
-            spent_automaton += t1 - t0
-            spent_oracle += t2 - t1
-            spent_scan += t3 - t2
-            spent_amended += t4 - t3
-            spent_strict += t5 - t4
+        words = [prefix + (symbol,) for symbol in range(size)]
+        t0 = perf_counter()
+        accepted_each = [run(word, size).accepted for word in words]
+        t1 = perf_counter()
+        # tuple(map(word.index, word)) in O(n): the parent's pattern plus
+        # where symbol first occurs, len(prefix) if it is fresh
+        patterns = [prefix_pattern + (word.index(symbol),) for symbol, word in enumerate(words)]
+        for pattern, word in zip(patterns, words):
+            if pattern not in verdicts:
+                verdicts[pattern] = is_unique_trail(word)
+        unique_each = [verdicts[pattern] for pattern in patterns]
+        t2 = perf_counter()
+        swappable_each = [has_proper_transposition(word) for word in words]
+        t3 = perf_counter()
+        amended_next = [set(amended_live) for _ in words]
+        by_amended_each = [nfa_accepts(amended, (symbol,), live) for symbol, live in enumerate(amended_next)]
+        t4 = perf_counter()
+        strict_next = [set(strict_live) for _ in words]
+        by_strict_each = [nfa_accepts(strict, (symbol,), live) for symbol, live in enumerate(strict_next)]
+        t5 = perf_counter()
+        spent_automaton += t1 - t0
+        spent_oracle += t2 - t1
+        spent_scan += t3 - t2
+        spent_amended += t4 - t3
+        spent_strict += t5 - t4
+        for word, accepted, unique, swappable, by_amended, by_strict in zip(
+            words, accepted_each, unique_each, swappable_each, by_amended_each, by_strict_each
+        ):
             if not (accepted == unique == (not swappable) == (not by_amended)):
                 report.disagreements.append(
                     (word, {"automaton": accepted, "oracle": unique,
@@ -100,8 +108,8 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
                 )
             if by_strict != swappable:
                 (report.strict_unsound if by_strict else report.strict_gaps).append(word)
-            if has_children:
-                stack.append((word, pattern, amended_next, strict_next))
+        if len(prefix) + 1 < max_len:
+            stack.extend(zip(words, patterns, amended_next, strict_next))
     # back to the order of a length-major sweep, which the CLI prints
     report.disagreements.sort(key=lambda found: (len(found[0]), found[0]))
     report.strict_unsound.sort(key=lambda word: (len(word), word))

@@ -1,6 +1,7 @@
 """What only the tests use: the arcs of a trail's graph, the O(n⁴) list of
-every site, every grammar state, the acceptance test on an automaton state
-and the checked shift lemma.  The package never calls them.
+every site, every grammar state, the grammar's step of one state, the
+acceptance test on an automaton state and the checked shift lemma.  The
+package never calls them.
 
 Import it the way the tests import ``conftest``:
 ``from reference import all_sites``.
@@ -11,7 +12,7 @@ from itertools import product
 
 from unitrail.automaton import AutomatonState
 from unitrail.core import Trail
-from unitrail.grammar import ACCEPT, START, GrammarNFA
+from unitrail.grammar import ACCEPT, START, GrammarNFA, State, step
 from unitrail.transposition import (
     OneAnchor,
     TranspositionSite,
@@ -44,6 +45,14 @@ def all_states(nfa: GrammarNFA):
         yield ("branch", c, b)
     for a, c, b in product(syms, repeat=3):
         yield ("span", a, c, b)
+
+
+def successors(nfa: GrammarNFA, state: State, symbol: int) -> set:
+    """The states that ``state`` moves to on ``symbol``: the rule's step of
+    the one-state collection ``(state,)``."""
+    found: set = set()
+    step(nfa, (state,), symbol, found)
+    return found
 
 
 def is_proper(trail: Trail, site: TranspositionSite) -> bool:

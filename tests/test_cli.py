@@ -438,6 +438,33 @@ def test_crosscheck_alphabet_beyond_the_character_names(monkeypatch, capsys):
     assert "four-way agreement: ok" in lines
 
 
+def test_crosscheck_prints_the_benchmark_sweep_exactly(monkeypatch, capsys):
+    # the crosscheck workload's command; its stdout is pinned line for line
+    code, out, _ = run_cli(
+        ["crosscheck", "--alphabet-size", "10", "--max-len", "4", "--grammar", "strict"],
+        monkeypatch,
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert out == (
+        "checked 11110 strings over alphabet size 10, lengths 1..4\n"
+        "four-way agreement: ok\n"
+        "strict grammar soundness: ok\n"
+        "strict grammar completeness gaps: 90\n"
+        "  gap 0100\n"
+        "  gap 0200\n"
+        "  gap 0300\n"
+        "  gap 0400\n"
+        "  gap 0500\n"
+        "  gap 0600\n"
+        "  gap 0700\n"
+        "  gap 0800\n"
+        "  gap 0900\n"
+        "  gap 1011\n"
+        "  ... 80 more\n"
+    )
+
+
 def test_crosscheck_stdout_is_deterministic(monkeypatch, capsys):
     argv = ["crosscheck", "--alphabet-size", "2", "--max-len", "5"]
     _, first, _ = run_cli(argv, monkeypatch, capsys)

@@ -2,11 +2,11 @@ import hashlib
 
 import pytest
 
-from unitrail.grammar import START, build_grammar_nfa, nfa_accepts, successors
+from unitrail.grammar import START, build_grammar_nfa, nfa_accepts, step
 from unitrail.transposition import has_proper_transposition
 
 from conftest import all_strings
-from reference import all_states
+from reference import all_states, successors
 
 
 def _state_label(state):
@@ -41,6 +41,28 @@ def test_state_space_size(size, expected):
         for state in states:
             for symbol in range(size):
                 assert successors(nfa, state, symbol) <= space
+
+
+@pytest.mark.parametrize("mode", ["strict", "amended"])
+def test_stepping_a_set_is_the_union_of_its_states_steps(mode):
+    # the whole state space, and every live set a word of length <= 6
+    # reaches, stepped at once on each symbol
+    for size in (1, 2, 3):
+        nfa = build_grammar_nfa(size, mode)
+        reached = {frozenset(all_states(nfa))}
+        for word in all_strings(size, 6):
+            live = {START}
+            nfa_accepts(nfa, word, live)
+            reached.add(frozenset(live))
+        for states in reached:
+            for symbol in range(size):
+                stepped = set()
+                step(nfa, set(states), symbol, stepped)
+                assert stepped == set().union(*(successors(nfa, state, symbol) for state in states))
+    nfa = build_grammar_nfa(3, mode)
+    for bogus in (("bogus",), ("span", 0, 1), "start"):
+        with pytest.raises(ValueError):
+            step(nfa, {START, bogus}, 0, set())
 
 
 def test_build_rejects_bad_arguments():

@@ -5,7 +5,7 @@ import pytest
 from unitrail import harness
 from unitrail.automaton import Verdict, run
 from unitrail.cli import main
-from unitrail.grammar import build_grammar_nfa, nfa_accepts
+from unitrail.grammar import START, build_grammar_nfa, nfa_accepts
 from unitrail.harness import CLASSIFIERS, cross_validate
 from unitrail.oracle import is_unique_trail
 from unitrail.transposition import has_proper_transposition
@@ -57,22 +57,47 @@ def test_a_planted_oracle_fault_reaches_its_whole_class(pattern, members, monkey
         assert verdicts["oracle"] != verdicts["automaton"]
 
 
-@pytest.mark.parametrize("classifier", [harness.run, harness.has_proper_transposition], ids=lambda f: f.__name__)
-def test_no_classifier_under_test_is_shared_across_a_class(classifier, monkeypatch):
-    # only the oracle's verdict is reused per class: the automaton and the
-    # scan run on every word, so a fault on 0 1 0 1 alone shows on that
-    # word alone, not on the other five words of its class
+@pytest.mark.parametrize("classifier,mode", [
+    pytest.param(harness.run, None, id="run"),
+    pytest.param(harness.has_proper_transposition, None, id="has_proper_transposition"),
+    pytest.param(harness.nfa_accepts, "amended", id="nfa_accepts-amended"),
+    pytest.param(harness.nfa_accepts, "strict", id="nfa_accepts-strict"),
+])
+def test_no_classifier_under_test_is_shared_across_a_class(classifier, mode, monkeypatch):
+    # only the oracle's verdict is reused per class: the automaton, the
+    # scan and the grammars run on every word, so a fault on 0 1 0 1 alone
+    # shows on that word alone, not on the other five words of its class,
+    # nor on another word of its trie node's batch
     target = (0, 1, 0, 1)
     if classifier is run:
         def faulty(word, size):
             return Verdict(False, 4) if word == target else run(word, size)
-    else:
+    elif classifier is has_proper_transposition:
         def faulty(word):
             return has_proper_transposition(word) != (word == target)
+    else:
+        # the sweep steps a grammar one symbol from the parent's live set,
+        # and no other string of the sweep reaches 0 1 0's live set
+        parent = {START}
+        nfa_accepts(build_grammar_nfa(3, mode), target[:-1], parent)
+
+        def faulty(nfa, trail, live=None):
+            planted = nfa.mode == mode and trail == target[-1:] and live == parent
+            return nfa_accepts(nfa, trail, live) != planted
+
+        clean_gaps = cross_validate(3, 4).strict_gaps
 
     monkeypatch.setattr(f"unitrail.harness.{classifier.__name__}", faulty)
     report = cross_validate(3, 4)
-    assert [word for word, _ in report.disagreements] == [target]
+    if mode == "strict":
+        # the strict grammar is audited, not voted: 0 1 0 1 is a unique
+        # trail, so its fault is one unsound word and the gaps stay
+        assert report.disagreements == []
+        assert (report.strict_unsound, report.strict_gaps) == ([target], clean_gaps)
+    else:
+        assert [word for word, _ in report.disagreements] == [target]
+    if mode == "amended":
+        assert (report.strict_unsound, report.strict_gaps) == ([], clean_gaps)
 
 
 def test_timings_name_every_classifier_in_order(capsys):

@@ -12,7 +12,7 @@ from unitrail import (
     parse_trail,
     run,
 )
-from unitrail.grammar import build_grammar_nfa
+from unitrail.grammar import GrammarNFA, build_grammar_nfa
 from unitrail.transposition import TwoAnchors
 
 # (build one value, its repr); each is built twice, so the two are equal
@@ -67,6 +67,14 @@ def test_replace_runs_the_same_checks_as_the_constructor():
     with pytest.raises(ValueError):
         parse_trail("ab")[1]._replace(names=("a", "a"))
     assert run((0, 1), 2)._replace() == run((0, 1), 2)
+    grammar = build_grammar_nfa(3, "amended")
+    for bad in ({"mode": "bogus"}, {"size": 0}, {"size": -2}):
+        with pytest.raises(ValueError):
+            grammar._replace(**bad)
+    for size, mode in ((0, "strict"), (-2, "amended"), (3, "bogus")):
+        with pytest.raises(ValueError):
+            GrammarNFA(size, mode)
+    assert grammar._replace(mode="strict") == build_grammar_nfa(3, "strict")
 
 
 def test_every_public_function_is_called_by_another_package_module():
