@@ -144,6 +144,11 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
         state.last = prev
 
 
+# An accepted verdict carries no data and a Verdict is immutable, so every
+# accepted run returns this one value instead of building its own.
+_ACCEPTED = Verdict(True)
+
+
 def run(trail: Trail, size: int) -> Verdict:
     """Feed a trail through the machine and report the verdict.
 
@@ -153,11 +158,15 @@ def run(trail: Trail, size: int) -> Verdict:
     the vertex it entered is black: phase 2 of the step blackens the whole
     table in that case, phases 3 and 4 change no colour, and a chain walk
     that blackens every vertex blackens the entered one too.  The empty
-    trail is accepted, even over an empty alphabet.
+    trail is accepted, even over an empty alphabet.  Every accepted run
+    returns the same shared ``Verdict(True)``; a rejected run builds its
+    own verdict.  A negative ``size`` raises ``ValueError``.
     """
     if size == 0:
         if trail:
             raise ValueError("nonempty trail over an empty alphabet")
-        return Verdict(True)
+        return _ACCEPTED
     consumed = advance(init_state(size), trail)
-    return Verdict(consumed is None, consumed)
+    if consumed is None:
+        return _ACCEPTED
+    return Verdict(False, consumed)

@@ -81,8 +81,10 @@ def _open_input(path: str):
 def _lines(stream):
     """The stream's lines one at a time, split as ``str.splitlines`` splits
     the whole text: each chunk the stream yields ends at a ``\n``, so no
-    line ending straddles two chunks."""
-    for chunk in stream:
+    line ending straddles two chunks.  A U+FEFF that starts the input is a
+    byte-order mark, not a symbol; anywhere else it is a symbol."""
+    chunks = iter(stream)
+    for chunk in itertools.chain([next(chunks, "").removeprefix("\ufeff")], chunks):
         yield from chunk.splitlines()
 
 

@@ -4,7 +4,8 @@ A trail is a plain tuple of dense integer vertex ids.  Token names exist
 only at the I/O boundary (parsing and rendering); everything downstream
 works on ids 0..m-1.  The graph a trail induces needs no type of its
 own: its arcs are the trail's consecutive pairs, and the oracle counts
-them from the trail.
+them from the trail.  Each classifier checks the symbols of the trail it
+is given against its own alphabet size, so nothing here validates ids.
 """
 
 from typing import NamedTuple
@@ -36,7 +37,7 @@ class Alphabet(_AlphabetFields):
             raise ValueError("need exactly one name per symbol id")
         if len(set(names)) != size:
             raise ValueError("symbol names must be distinct")
-        if any(not name for name in names):
+        if not all(names):
             raise TrailParseError("empty token")
         return tuple.__new__(cls, (size, names))
 
@@ -60,20 +61,18 @@ def chars_alphabet(size: int) -> Alphabet:
 def parse_trail(text: str, tokens: bool = False) -> tuple[Trail, Alphabet]:
     """Parse text into a trail and the alphabet it uses.
 
-    In chars mode every character is one symbol; in tokens mode symbols are
+    In chars mode every character is one symbol, and whitespace anywhere
+    in the text raises :class:`TrailParseError`; in tokens mode symbols are
     whitespace-separated.  Ids are assigned in first-appearance order.
     """
-    pieces = text.split() if tokens else list(text)
-    if not tokens and any(p.isspace() for p in pieces):
-        raise TrailParseError("whitespace is not a symbol in chars mode")
+    if tokens:
+        pieces = text.split()
+    else:
+        # str.split splits on exactly the characters str.isspace accepts,
+        # so one split in C finds any whitespace; the empty text has none
+        if text and text.split(maxsplit=1) != [text]:
+            raise TrailParseError("whitespace is not a symbol in chars mode")
+        pieces = text
     ids: dict[str, int] = {}
     trail = tuple([ids.setdefault(piece, len(ids)) for piece in pieces])
     return trail, Alphabet(len(ids), tuple(ids))
-
-
-def validate_trail(trail: Trail, size: int) -> None:
-    """Raise unless every symbol id fits the alphabet."""
-    for s in trail:
-        if not 0 <= s < size:
-            raise ValueError(f"symbol {s} out of range for alphabet size {size}")
-

@@ -31,7 +31,7 @@ instead of hiding it.
 
 from typing import NamedTuple
 
-from .core import Trail, validate_trail
+from .core import Trail
 
 State = tuple
 START: State = ("start",)
@@ -110,10 +110,13 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: set | None = None) -> bool:
     omitted, and leaves a given ``live`` holding the states after
     ``trail``, so a caller can feed a trail in pieces and get the same
     verdict and the same set as one call.  Every symbol is checked against
-    the alphabet before the first step: one outside it raises
+    ``nfa.size``, here and before the first step: one outside it raises
     ``ValueError`` and leaves ``live`` untouched.
     """
-    validate_trail(trail, nfa.size)
+    size = nfa.size
+    for symbol in trail:
+        if not 0 <= symbol < size:
+            raise ValueError(f"symbol {symbol} out of range for alphabet size {size}")
     if live is None:
         live = {START}
     for symbol in trail:

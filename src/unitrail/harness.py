@@ -61,6 +61,8 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     strict = build_grammar_nfa(size, "strict")
     amended = build_grammar_nfa(size, "amended")
     report = CrosscheckReport(size, max_len)
+    # each string is its parent plus one of these; built once per sweep
+    singles = [(symbol,) for symbol in range(size)]
     spent_automaton = spent_oracle = spent_scan = spent_amended = spent_strict = 0.0
     # first-occurrence pattern -> the oracle's verdict on the first word
     # with that pattern
@@ -73,7 +75,7 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     while stack:
         prefix, prefix_pattern, amended_live, strict_live = stack.pop()
         report.checked += size
-        words = [prefix + (symbol,) for symbol in range(size)]
+        words = [prefix + single for single in singles]
         t0 = perf_counter()
         accepted_each = [run(word, size).accepted for word in words]
         t1 = perf_counter()
@@ -88,10 +90,10 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
         swappable_each = [has_proper_transposition(word) for word in words]
         t3 = perf_counter()
         amended_next = [set(amended_live) for _ in words]
-        by_amended_each = [nfa_accepts(amended, (symbol,), live) for symbol, live in enumerate(amended_next)]
+        by_amended_each = [nfa_accepts(amended, single, live) for single, live in zip(singles, amended_next)]
         t4 = perf_counter()
         strict_next = [set(strict_live) for _ in words]
-        by_strict_each = [nfa_accepts(strict, (symbol,), live) for symbol, live in enumerate(strict_next)]
+        by_strict_each = [nfa_accepts(strict, single, live) for single, live in zip(singles, strict_next)]
         t5 = perf_counter()
         spent_automaton += t1 - t0
         spent_oracle += t2 - t1

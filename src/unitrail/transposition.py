@@ -125,18 +125,24 @@ def has_proper_transposition(trail: Trail) -> bool:
     The classifier the harness checks the automaton against, so it uses
     none of it: a scan for two occurrences ``i < j`` of a vertex with
     distinct followers such that some vertex occurring in ``[i, j)``
-    occurs again after ``j``.
+    occurs again after ``j``.  Such an anchor vertex occurs at two
+    indices, so a trail in which no vertex repeats has no proper site and
+    the scan returns at once.  Both occurrences need a follower, so
+    ``i`` stops at ``n - 3``.
     """
     n = len(trail)
-    last_seen = {}
-    for idx, symbol in enumerate(trail):
-        last_seen[symbol] = idx
-    for i in range(n):
+    last_seen = {symbol: idx for idx, symbol in enumerate(trail)}
+    if len(last_seen) == n:
+        return False
+    for i in range(n - 2):
+        anchor = trail[i]
+        follower = trail[i + 1]
         reach = -1
         for j in range(i + 1, n - 1):
-            if last_seen[trail[j - 1]] > reach:
-                reach = last_seen[trail[j - 1]]
-            if trail[j] == trail[i] and trail[i + 1] != trail[j + 1] and reach > j:
+            seen = last_seen[trail[j - 1]]
+            if seen > reach:
+                reach = seen
+            if trail[j] == anchor and trail[j + 1] != follower and reach > j:
                 return True
     return False
 

@@ -123,6 +123,16 @@ def test_run_rejects_symbols_beyond_alphabet():
         run((0, 1), 1)
     with pytest.raises(ValueError):
         run((0,), 0)
+    for trail in ((), (0,)):
+        with pytest.raises(ValueError):
+            run(trail, -1)
+
+
+def test_every_accepted_run_returns_one_shared_verdict():
+    accepted = run((0, 1), 2)
+    assert accepted is run((2,), 3) is run((), 0)
+    assert accepted == Verdict(True)
+    assert run((0, 0, 1, 0), 2) is not run((0, 0, 1, 0), 2)
 
 
 def test_verdict_consistency_enforced():

@@ -102,6 +102,30 @@ def test_check_reads_files(tmp_path, monkeypatch, capsys):
     assert out == "0\tUNIQUE\t-\n"
 
 
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("tokens,line,marked", [
+    (True, "x y x x", "UNIQUE\t-"),
+    (False, "0100", "NONUNIQUE\t5"),
+], ids=["tokens", "chars"])
+def test_check_reads_a_leading_byte_order_mark_from_a_file_as_no_symbol(tokens, line, marked, tmp_path, monkeypatch, capsys):
+    # `line` alone reads NONUNIQUE at 4; `marked` is its verdict with a
+    # U+FEFF symbol in front
+    argv = ["check", *(["--tokens"] if tokens else [])]
+    source = tmp_path / "input.txt"
+    source.write_text(f"{BOM}{line}\n{line}\n{BOM}{line}\n", encoding="utf-8")
+    code, out, err = run_cli(argv + [str(source)], monkeypatch, capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.splitlines() == ["0\tNONUNIQUE\t4", "1\tNONUNIQUE\t4", f"2\t{marked}"]
+
+
+def test_check_reads_a_leading_byte_order_mark_on_stdin_as_no_symbol():
+    proc = start_cli(["check"], PYTHONIOENCODING="utf-8")
+    out, err = proc.communicate(f"{BOM}0100\n0{BOM}100\n".encode(), timeout=10)
+    assert (proc.returncode, out, err) == (EXIT_OK, b"0\tNONUNIQUE\t4\n1\tNONUNIQUE\t5\n", b"")
+
+
 def test_check_missing_file_is_a_usage_error(monkeypatch, capsys):
     code, _, err = run_cli(["check", "/nonexistent/path"], monkeypatch, capsys)
     assert code == EXIT_USAGE

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +33,20 @@ def test_parse_tokens():
 def test_parse_chars_rejects_inner_whitespace():
     with pytest.raises(TrailParseError):
         parse_trail("a b")
+
+
+WHITESPACE = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
+
+
+def test_there_are_29_whitespace_code_points():
+    assert len(WHITESPACE) == 29
+
+
+@pytest.mark.parametrize("space", WHITESPACE, ids=[f"U+{ord(c):04X}" for c in WHITESPACE])
+def test_parse_chars_rejects_every_whitespace_code_point_anywhere(space):
+    for text in (space, space + "ab", "a" + space + "b", "ab" + space):
+        with pytest.raises(TrailParseError, match="whitespace is not a symbol in chars mode"):
+            parse_trail(text)
 
 
 def test_alphabet_validation():

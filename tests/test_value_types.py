@@ -7,6 +7,7 @@ import pytest
 import unitrail
 from unitrail import (
     AutomatonState,
+    Verdict,
     find_proper_site,
     init_state,
     parse_trail,
@@ -20,7 +21,8 @@ from unitrail.transposition import TwoAnchors
 # README's Library examples.
 VALUES = [
     (lambda: run((0, 0, 1, 0), 2), "Verdict(accepted=False, first_rejection=4)"),
-    (lambda: run((0, 1), 2), "Verdict(accepted=True, first_rejection=None)"),
+    # run returns one shared accepted verdict, so build fresh ones from it
+    (lambda: Verdict(*run((0, 1), 2)), "Verdict(accepted=True, first_rejection=None)"),
     (lambda: parse_trail("a b a", tokens=True)[1], "Alphabet(size=2, names=('a', 'b'))"),
     (lambda: build_grammar_nfa(2, "amended"), "GrammarNFA(size=2, mode='amended')"),
     (lambda: TwoAnchors(0, 3, 4, 5), "TwoAnchors(i=0, p=3, j=4, q=5)"),
