@@ -7,9 +7,7 @@ from .harness import CrosscheckReport, cross_validate
 from .mfw import brute_mfw, constructive_mfw
 from .oracle import enumerate_trails, is_unique_trail
 from .transposition import (
-    OneAnchor,
     TranspositionSite,
-    TwoAnchors,
     apply_transposition,
     find_proper_site,
     has_proper_transposition,
@@ -23,11 +21,9 @@ __all__ = [
     "AutomatonState",
     "CrosscheckReport",
     "GrammarNFA",
-    "OneAnchor",
     "Trail",
     "TrailParseError",
     "TranspositionSite",
-    "TwoAnchors",
     "Verdict",
     "advance",
     "apply_transposition",

@@ -18,7 +18,7 @@ from .core import Alphabet, TrailParseError, chars_alphabet, parse_trail
 from .harness import cross_validate
 from .mfw import brute_mfw, constructive_mfw
 from .oracle import enumerate_trails
-from .transposition import TwoAnchors, apply_transposition, find_proper_site, segments
+from .transposition import apply_transposition, find_proper_site, segments
 
 EXIT_OK = 0
 EXIT_PIPE = 1
@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="classify one sequence per input line")
     check.add_argument("path", nargs="?", default="-", help="input file, or - for stdin")
     check.add_argument("--tokens", action="store_true", help="whitespace-separated symbols instead of one character each")
-    check.add_argument("--alphabet-size", type=int, metavar="M", help="pad the vertex set to M; more than M distinct symbols is an error")
+    check.add_argument("--alphabet-size", type=int, metavar="M", help="allow at most M distinct symbols per line; more is an error")
     check.add_argument("--explain", action="store_true", help="attach a transposition witness to NONUNIQUE lines")
     check.add_argument("--json", action="store_true", help="one JSON object per line")
 
@@ -91,8 +91,8 @@ def _lines(stream):
 def _witness(trail, rejected_at: int, alphabet: Alphabet, tokens: bool) -> dict:
     """A proper site of the shortest rejected prefix, shown on the whole line."""
     site = find_proper_site(trail[:rejected_at])
-    shape = "two_anchors" if isinstance(site, TwoAnchors) else "one_anchor"
-    data = {"site": f"{shape}({','.join(map(str, site))})"}
+    i, p, j, q = site
+    data = {"site": f"one_anchor({i},{j},{q})" if p == j else f"two_anchors({i},{p},{j},{q})"}
     for key, part in segments(trail, site).items():
         data[key] = alphabet.render(part, tokens)
     data["alt"] = alphabet.render(apply_transposition(trail, site), tokens)
@@ -122,8 +122,9 @@ def cmd_check(args) -> int:
                     )
             except TrailParseError as exc:
                 return _usage_error(f"line {lineno}: {exc}")
-            # padded vertices are never entered, so the verdict, the
-            # rejection and the witness are the same at any --alphabet-size
+            # the automaton runs over the line's own symbols, so the
+            # verdict, the rejection and the witness are the same at any
+            # --alphabet-size
             verdict = run(trail, alphabet.size)
             report = {
                 "index": lineno - 1,

@@ -2,17 +2,18 @@
 
 A transposition swaps two segments of a trail that hang between repeated
 anchor vertices; it never changes the induced arc multiset, the start
-vertex, or the length.  Two shapes exist:
+vertex, or the length.  A site is the named tuple
+``TranspositionSite(i, p, j, q)``, in one of two shapes:
 
-* ``TwoAnchors(i, p, j, q)``: the trail reads  u a x b z a y b v  with the
-  first anchor symbol at ``i`` and ``j`` and the second at ``p`` and ``q``;
-  the swap exchanges x and y.  The two anchor symbols are usually distinct
-  but are allowed to coincide (four occurrences of one vertex with material
-  both between and around them).
-* ``OneAnchor(i, j, k)``: the trail reads  u a x a y a v  with one anchor
-  symbol at all three indices; the swap exchanges the adjacent x and y.
-  It is the first shape with ``b`` the middle ``a`` and ``z`` empty, and
-  every function here reads it as the indices ``(i, j, j, k)``.
+* ``p < j``: the trail reads  u a x b z a y b v  with the first anchor
+  symbol at ``i`` and ``j`` and the second at ``p`` and ``q``; the swap
+  exchanges x and y.  The two anchor symbols are usually distinct but are
+  allowed to coincide (four occurrences of one vertex with material both
+  between and around them).
+* ``p == j``: the one-anchor shape  u a x a y a v  with one anchor symbol
+  at ``i``, ``j`` and ``q``; the swap exchanges the adjacent x and y.  It
+  is the first shape with ``b`` the middle ``a`` and ``z`` empty, so every
+  formula here is written once.
 
 A transposition is *proper* when the vertices right after the two leading
 anchor occurrences differ; a trail is the unique Eulerian trail of its
@@ -32,38 +33,20 @@ from .automaton import advance, init_state
 from .core import Trail
 
 
-class TwoAnchors(NamedTuple):
+class TranspositionSite(NamedTuple):
     i: int
     p: int
     j: int
     q: int
 
 
-class OneAnchor(NamedTuple):
-    i: int
-    j: int
-    k: int
-
-
-TranspositionSite = TwoAnchors | OneAnchor
-
-
-def _indices(site: TranspositionSite) -> tuple[int, int, int, int]:
-    """The site as two-anchor indices ``(i, p, j, q)``; ``OneAnchor(i, j, k)``
-    is ``(i, j, j, k)``."""
-    if isinstance(site, TwoAnchors):
-        return site
-    if isinstance(site, OneAnchor):
-        i, j, k = site
-        return i, j, j, k
-    raise TypeError(f"not a transposition site: {site!r}")
-
-
 def validate_site(trail: Trail, site: TranspositionSite) -> None:
     """Raise unless the site's indices and anchor symbols fit the trail."""
+    if not isinstance(site, TranspositionSite):
+        raise TypeError(f"not a transposition site: {site!r}")
     n = len(trail)
-    i, p, j, q = _indices(site)
-    if not 0 <= i < p <= j < q < n or p == j and isinstance(site, TwoAnchors):
+    i, p, j, q = site
+    if not 0 <= i < p <= j < q < n:
         raise ValueError(f"site indices {site} out of order for length {n}")
     if trail[i] != trail[j] or trail[p] != trail[q]:
         raise ValueError(f"site {site} anchors differ: {trail[i]},{trail[p]} vs {trail[j]},{trail[q]}")
@@ -72,7 +55,7 @@ def validate_site(trail: Trail, site: TranspositionSite) -> None:
 def apply_transposition(trail: Trail, site: TranspositionSite) -> Trail:
     """Swap the site's two segments; graph, start, and length are preserved."""
     validate_site(trail, site)
-    i, p, j, q = _indices(site)
+    i, p, j, q = site
     return trail[: i + 1] + trail[j + 1 : q + 1] + trail[p + 1 : j + 1] + trail[i + 1 : p + 1] + trail[q + 1 :]
 
 
@@ -89,9 +72,9 @@ def find_proper_site(trail: Trail) -> TranspositionSite | None:
     recorded at the previous occurrence ``i`` of ``trail[j]`` differed
     from ``trail[j + 1]``; so ``i`` and ``j`` are leading anchors with
     distinct followers.  The walk went round a cycle through ``v`` inside
-    ``[i, j]``; the site returned is ``OneAnchor(i, j, k)`` when ``v`` is
-    ``trail[j]`` itself, and otherwise ``TwoAnchors(i, p, j, k)`` with
-    ``p`` the last occurrence of ``v`` before ``j``.
+    ``[i, j]``; the site returned is ``TranspositionSite(i, p, j, k)``
+    with ``p`` the last occurrence of ``v`` before ``j``, or ``p = j``
+    when ``v`` is ``trail[j]`` itself.
 
     Every index the site names, followers included, lies inside the shortest
     rejected prefix.  Given that prefix of a line, as ``check --explain``
@@ -108,10 +91,8 @@ def find_proper_site(trail: Trail) -> TranspositionSite | None:
     entered = trail[k]
     j = state.black[entered] - 2
     anchor = trail[j]
-    i = _last_before(trail, anchor, j)
-    if entered == anchor:
-        return OneAnchor(i, j, k)
-    return TwoAnchors(i, _last_before(trail, entered, j), j, k)
+    p = j if entered == anchor else _last_before(trail, entered, j)
+    return TranspositionSite(_last_before(trail, anchor, j), p, j, k)
 
 
 def _last_before(trail: Trail, symbol: int, end: int) -> int:
@@ -125,16 +106,20 @@ def has_proper_transposition(trail: Trail) -> bool:
     The classifier the harness checks the automaton against, so it uses
     none of it: a scan for two occurrences ``i < j`` of a vertex with
     distinct followers such that some vertex occurring in ``[i, j)``
-    occurs again after ``j``.  Such an anchor vertex occurs at two
-    indices, so a trail in which no vertex repeats has no proper site and
-    the scan returns at once.  Both occurrences need a follower, so
-    ``i`` stops at ``n - 3``.
+    occurs again after ``j``.  Such a site needs two surplus occurrences:
+    the anchor's second one at ``j``, and the later occurrence of a vertex
+    of ``[i, j)`` (a third anchor or a second of another vertex).  So a
+    trail with at most one repeat has no proper site and the scan returns
+    at once.  Both anchors need a follower, so ``j <= n - 2``; and
+    ``i = n - 3`` never succeeds: it forces ``j = n - 2``, and the only
+    vertex of ``[i, j)``, the anchor, must occur again at ``n - 1``, so
+    the last three symbols are ``a a a`` and both followers are ``a``.
     """
     n = len(trail)
     last_seen = {symbol: idx for idx, symbol in enumerate(trail)}
-    if len(last_seen) == n:
+    if len(last_seen) >= n - 1:
         return False
-    for i in range(n - 2):
+    for i in range(n - 3):
         anchor = trail[i]
         follower = trail[i + 1]
         reach = -1
@@ -150,10 +135,10 @@ def has_proper_transposition(trail: Trail) -> bool:
 def segments(trail: Trail, site: TranspositionSite) -> dict[str, Trail]:
     """Decompose the trail into the site's named pieces.
 
-    Keys u, a, x, y, v always; b and z only for two-anchor sites.
+    Keys u, a, x, y, v always; b and z only for two-anchor sites, ``p < j``.
     """
     validate_site(trail, site)
-    i, p, j, q = _indices(site)
+    i, p, j, q = site
     parts = {
         "u": trail[:i],
         "a": trail[i : i + 1],
@@ -163,6 +148,6 @@ def segments(trail: Trail, site: TranspositionSite) -> dict[str, Trail]:
         "y": trail[j + 1 : q],
         "v": trail[q + 1 :],
     }
-    if isinstance(site, OneAnchor):
+    if p == j:
         del parts["b"], parts["z"]
     return parts

@@ -13,14 +13,7 @@ from itertools import product
 from unitrail.automaton import AutomatonState
 from unitrail.core import Trail
 from unitrail.grammar import ACCEPT, START, GrammarNFA, State, step
-from unitrail.transposition import (
-    OneAnchor,
-    TranspositionSite,
-    TwoAnchors,
-    _indices,
-    apply_transposition,
-    validate_site,
-)
+from unitrail.transposition import TranspositionSite, apply_transposition, validate_site
 
 
 def arcs(trail: Trail) -> Counter:
@@ -63,37 +56,22 @@ def is_proper(trail: Trail, site: TranspositionSite) -> bool:
     return trail[first + 1] != trail[second + 1]
 
 
-def _two_anchor_sites(trail: Trail):
+def all_sites(trail: Trail):
+    """Every well-formed site ``i < p <= j < q``, lexicographic; ``p == j``
+    gives the one-anchor shapes.
+
+    O(n⁴): the reference that tests hold ``find_proper_site``,
+    ``has_proper_transposition`` and ``validate_site`` to.
+    """
     n = len(trail)
     for i in range(n):
         for p in range(i + 1, n):
-            for j in range(p + 1, n):
+            for j in range(p, n):
                 if trail[j] != trail[i]:
                     continue
                 for q in range(j + 1, n):
                     if trail[q] == trail[p]:
-                        yield TwoAnchors(i, p, j, q)
-
-
-def _one_anchor_sites(trail: Trail):
-    n = len(trail)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if trail[j] != trail[i]:
-                continue
-            for k in range(j + 1, n):
-                if trail[k] == trail[i]:
-                    yield OneAnchor(i, j, k)
-
-
-def all_sites(trail: Trail):
-    """Every well-formed site, two-anchor shapes first, lexicographic.
-
-    O(n⁴): the reference that tests hold ``find_proper_site`` and
-    ``has_proper_transposition`` to.
-    """
-    yield from _two_anchor_sites(trail)
-    yield from _one_anchor_sites(trail)
+                        yield TranspositionSite(i, p, j, q)
 
 
 def _shift_improper(trail: Trail, site: TranspositionSite) -> TranspositionSite:
@@ -104,12 +82,12 @@ def _shift_improper(trail: Trail, site: TranspositionSite) -> TranspositionSite:
     empty, the leading anchor sits directly against the trailing anchor
     symbol and the shape collapses to a one-anchor site.
     """
-    i, p, j, q = _indices(site)
+    i, p, j, q = site
     if p == i + 1:
-        return OneAnchor(i + 1, j + 1, q)
+        return TranspositionSite(i + 1, j + 1, j + 1, q)
     if q == j + 1:
-        return OneAnchor(i + 1, p, j + 1)
-    return TwoAnchors(i + 1, p, j + 1, q)
+        return TranspositionSite(i + 1, p, p, j + 1)
+    return TranspositionSite(i + 1, p, j + 1, q)
 
 
 def properize(trail: Trail, site: TranspositionSite) -> TranspositionSite:

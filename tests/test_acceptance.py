@@ -15,7 +15,7 @@ from unitrail.cli import main
 from unitrail.harness import cross_validate
 from unitrail.mfw import brute_mfw, constructive_mfw
 from unitrail.oracle import enumerate_trails
-from unitrail.transposition import TwoAnchors, apply_transposition, has_proper_transposition
+from unitrail.transposition import TranspositionSite, apply_transposition, has_proper_transposition
 
 from conftest import all_strings, matches_binary_mfw
 from reference import all_sites, is_proper, properize
@@ -153,7 +153,7 @@ def test_criterion_7_worked_example():
     word = (0, 1, 0, 1, 0, 1)
     assert run(word, 2).accepted
     # decomposition u=v=y=z=empty, x = the middle 'ba': anchors at 0/4 and 3/5
-    site = TwoAnchors(0, 3, 4, 5)
+    site = TranspositionSite(0, 3, 4, 5)
     assert apply_transposition(word, site) == word
     assert not is_proper(word, site)
     assert list(enumerate_trails(word)) == [word]

@@ -5,7 +5,7 @@ import pytest
 
 from unitrail.automaton import run
 from unitrail.mfw import _accepted_words, brute_mfw, constructive_mfw
-from unitrail.transposition import OneAnchor, find_proper_site, segments
+from unitrail.transposition import find_proper_site, segments
 
 from conftest import all_strings, matches_binary_mfw
 
@@ -90,7 +90,7 @@ def test_witness_of_a_forbidden_word_spans_the_whole_word():
             site = find_proper_site(word)
             parts = segments(word, site)
             assert parts["u"] == parts["v"] == (), (word, site)
-            assert isinstance(site, OneAnchor) == (word[0] == word[-1]), (word, site)
+            assert (site.p == site.j) == (word[0] == word[-1]), (word, site)
 
 
 def test_walk_scales_with_the_accepted_language():

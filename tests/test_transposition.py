@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from unitrail.automaton import run
 from unitrail.oracle import is_unique_trail
 from unitrail.transposition import (
-    OneAnchor,
-    TwoAnchors,
+    TranspositionSite,
     apply_transposition,
     find_proper_site,
     has_proper_transposition,
@@ -22,39 +21,53 @@ from reference import all_sites, arcs, is_proper, properize
 
 
 def test_apply_one_anchor_swaps_adjacent_segments():
-    assert apply_transposition((0, 1, 0, 2, 0), OneAnchor(0, 2, 4)) == (0, 2, 0, 1, 0)
+    assert apply_transposition((0, 1, 0, 2, 0), TranspositionSite(0, 2, 2, 4)) == (0, 2, 0, 1, 0)
 
 
 def test_apply_two_anchors_swaps_outer_segments():
     trail = (0, 1, 0, 1, 2, 0)
-    assert apply_transposition(trail, TwoAnchors(1, 2, 3, 5)) == (0, 1, 2, 0, 1, 0)
+    assert apply_transposition(trail, TranspositionSite(1, 2, 3, 5)) == (0, 1, 2, 0, 1, 0)
 
 
 def test_apply_with_equal_segments_is_identity():
     trail = (0, 1, 0, 1, 0)
-    assert apply_transposition(trail, OneAnchor(0, 2, 4)) == trail
+    assert apply_transposition(trail, TranspositionSite(0, 2, 2, 4)) == trail
 
 
 def test_apply_rejects_invalid_sites():
     with pytest.raises(ValueError):
-        apply_transposition((0, 1, 0), OneAnchor(0, 1, 2))  # anchors differ
+        apply_transposition((0, 1, 0), TranspositionSite(0, 1, 1, 2))  # anchors differ
     with pytest.raises(ValueError):
-        apply_transposition((0, 0, 0), OneAnchor(0, 2, 2))  # order violated
+        apply_transposition((0, 0, 0), TranspositionSite(0, 2, 2, 2))  # order violated
     with pytest.raises(ValueError):
-        apply_transposition((0, 1, 0, 1), TwoAnchors(0, 1, 2, 4))  # out of bounds
+        apply_transposition((0, 1, 0, 1), TranspositionSite(0, 1, 2, 4))  # out of bounds
     with pytest.raises(ValueError):
-        apply_transposition((0, 1, 0, 1, 0), TwoAnchors(0, 2, 2, 4))  # z would be the middle anchor
-    with pytest.raises(ValueError):
-        apply_transposition((0, 1, 0, 1), OneAnchor(0, 2, 3))  # third index holds another vertex
+        apply_transposition((0, 1, 0, 1), TranspositionSite(0, 2, 2, 3))  # third index holds another vertex
     with pytest.raises(TypeError):
         apply_transposition((0, 1, 0, 2, 0), (0, 2, 4))  # not a site
 
 
+def test_validate_site_accepts_exactly_the_listed_sites():
+    # every index quadruple from one before the trail to one past it:
+    # validate_site passes the sites the reference lists and no other
+    for size, max_len in ((2, 5), (3, 4)):
+        for word in all_strings(size, max_len, min_len=0):
+            listed = set(all_sites(word))
+            for site in itertools.product(range(-1, len(word) + 1), repeat=4):
+                site = TranspositionSite(*site)
+                try:
+                    validate_site(word, site)
+                except ValueError:
+                    assert site not in listed, (word, site)
+                else:
+                    assert site in listed, (word, site)
+
+
 def test_is_proper_examples():
-    assert is_proper((0, 1, 0, 2, 0), OneAnchor(0, 2, 4))
+    assert is_proper((0, 1, 0, 2, 0), TranspositionSite(0, 2, 2, 4))
     # the abab... decomposition with both anchor-pairs interleaved
-    assert not is_proper((0, 1, 0, 1, 0, 1), TwoAnchors(0, 3, 4, 5))
-    assert not is_proper((0, 1, 0, 1, 2, 0), OneAnchor(0, 2, 5))
+    assert not is_proper((0, 1, 0, 1, 0, 1), TranspositionSite(0, 3, 4, 5))
+    assert not is_proper((0, 1, 0, 1, 2, 0), TranspositionSite(0, 2, 2, 5))
 
 
 def test_scan_examples():
@@ -66,54 +79,54 @@ def test_scan_examples():
 
 
 def test_find_proper_site_examples():
-    assert find_proper_site((0, 0, 1, 0)) == OneAnchor(0, 1, 3)
-    assert apply_transposition((0, 0, 1, 0), OneAnchor(0, 1, 3)) == (0, 1, 0, 0)
+    assert find_proper_site((0, 0, 1, 0)) == TranspositionSite(0, 1, 1, 3)
+    assert apply_transposition((0, 0, 1, 0), TranspositionSite(0, 1, 1, 3)) == (0, 1, 0, 0)
     assert find_proper_site((0, 1, 0, 1, 0, 1)) is None
-    assert find_proper_site((0, 1, 0, 2, 0)) == OneAnchor(0, 2, 4)
+    assert find_proper_site((0, 1, 0, 2, 0)) == TranspositionSite(0, 2, 2, 4)
 
 
 def test_properize_shifts_into_a_two_anchor_site():
     trail = (0, 1, 0, 1, 2, 0)
-    improper = OneAnchor(0, 2, 5)
+    improper = TranspositionSite(0, 2, 2, 5)
     proper = properize(trail, improper)
-    assert proper == TwoAnchors(1, 2, 3, 5)
+    assert proper == TranspositionSite(1, 2, 3, 5)
     assert apply_transposition(trail, proper) == apply_transposition(trail, improper) == (0, 1, 2, 0, 1, 0)
 
 
 def test_properize_returns_proper_sites_unchanged():
     trail = (0, 1, 0, 2, 0)
-    assert properize(trail, OneAnchor(0, 2, 4)) == OneAnchor(0, 2, 4)
+    assert properize(trail, TranspositionSite(0, 2, 2, 4)) == TranspositionSite(0, 2, 2, 4)
 
 
 def test_properize_rejects_identity():
     with pytest.raises(ValueError):
-        properize((0, 1, 0, 1, 0), OneAnchor(0, 2, 4))
+        properize((0, 1, 0, 1, 0), TranspositionSite(0, 2, 2, 4))
 
 
 def test_properize_handles_equal_anchor_collapse():
     # shifting an improper two-anchor site can land on four occurrences of
     # one vertex; no ordinary site reproduces that image
     trail = (0, 1, 2, 1, 0, 1, 1)
-    proper = properize(trail, TwoAnchors(0, 3, 4, 6))
-    assert proper == TwoAnchors(1, 3, 5, 6)
+    proper = properize(trail, TranspositionSite(0, 3, 4, 6))
+    assert proper == TranspositionSite(1, 3, 5, 6)
     assert trail[proper.i] == trail[proper.p]
-    assert apply_transposition(trail, proper) == apply_transposition(trail, TwoAnchors(0, 3, 4, 6))
+    assert apply_transposition(trail, proper) == apply_transposition(trail, TranspositionSite(0, 3, 4, 6))
 
 
 @pytest.mark.parametrize(
     "shift",
     [
-        lambda trail, site: OneAnchor(0, 1, 2),  # anchors differ: malformed
+        lambda trail, site: TranspositionSite(0, 1, 1, 2),  # anchors differ: malformed
         lambda trail, site: site,  # well-formed, same image, but never moves
-        lambda trail, site: TwoAnchors(1, 2, 3, 7),  # well-formed, moves, changes the image
+        lambda trail, site: TranspositionSite(1, 2, 3, 7),  # well-formed, moves, changes the image
     ],
     ids=["malformed", "stuck", "image-changing"],
 )
 def test_properize_raises_when_a_shift_breaks_the_lemma(shift, monkeypatch):
     trail = (0, 1, 0, 1, 2, 0, 2, 0)
     monkeypatch.setattr("reference._shift_improper", shift)
-    with pytest.raises(RuntimeError, match=r"site OneAnchor\(i=0, j=2, k=5\) of trail \(0, 1, 0, 1, 2, 0, 2, 0\)"):
-        properize(trail, OneAnchor(0, 2, 5))
+    with pytest.raises(RuntimeError, match=r"site TranspositionSite\(i=0, p=2, j=2, q=5\) of trail \(0, 1, 0, 1, 2, 0, 2, 0\)"):
+        properize(trail, TranspositionSite(0, 2, 2, 5))
 
 
 @given(st.lists(st.integers(0, 2), min_size=3, max_size=10).map(tuple), st.data())
@@ -220,11 +233,11 @@ def test_prefix_witness_is_a_proper_site_of_the_whole_word():
 def test_segments_reassemble_the_trail():
     # u a x b z a y b v with u=3, x=1, z=4, y=1 1, v=5
     trail = (3, 0, 1, 2, 4, 0, 1, 1, 2, 5)
-    parts = segments(trail, TwoAnchors(1, 3, 5, 8))
+    parts = segments(trail, TranspositionSite(1, 3, 5, 8))
     assert parts["u"] + parts["a"] + parts["x"] + parts["b"] + parts["z"] + parts["a"] + parts["y"] + parts["b"] + parts["v"] == trail
     assert (parts["u"], parts["x"], parts["z"], parts["y"], parts["v"]) == ((3,), (1,), (4,), (1, 1), (5,))
     # u a x a y a v with u=2, x=1, y=1 1, v=3
     trail = (2, 0, 1, 0, 1, 1, 0, 3)
-    parts = segments(trail, OneAnchor(1, 3, 6))
+    parts = segments(trail, TranspositionSite(1, 3, 3, 6))
     assert parts["u"] + parts["a"] + parts["x"] + parts["a"] + parts["y"] + parts["a"] + parts["v"] == trail
     assert (parts["u"], parts["x"], parts["y"], parts["v"]) == ((2,), (1,), (1, 1), (3,))

@@ -14,10 +14,10 @@ from unitrail import (
     run,
 )
 from unitrail.grammar import GrammarNFA, build_grammar_nfa
-from unitrail.transposition import TwoAnchors
+from unitrail.transposition import TranspositionSite
 
 # (build one value, its repr); each is built twice, so the two are equal
-# but not the same object.  The Verdict and OneAnchor strings are the
+# but not the same object.  The Verdict strings and the site found are the
 # README's Library examples.
 VALUES = [
     (lambda: run((0, 0, 1, 0), 2), "Verdict(accepted=False, first_rejection=4)"),
@@ -25,8 +25,8 @@ VALUES = [
     (lambda: Verdict(*run((0, 1), 2)), "Verdict(accepted=True, first_rejection=None)"),
     (lambda: parse_trail("a b a", tokens=True)[1], "Alphabet(size=2, names=('a', 'b'))"),
     (lambda: build_grammar_nfa(2, "amended"), "GrammarNFA(size=2, mode='amended')"),
-    (lambda: TwoAnchors(0, 3, 4, 5), "TwoAnchors(i=0, p=3, j=4, q=5)"),
-    (lambda: find_proper_site((0, 0, 1, 0)), "OneAnchor(i=0, j=1, k=3)"),
+    (lambda: TranspositionSite(0, 3, 4, 5), "TranspositionSite(i=0, p=3, j=4, q=5)"),
+    (lambda: find_proper_site((0, 0, 1, 0)), "TranspositionSite(i=0, p=1, j=1, q=3)"),
 ]
 
 
@@ -43,8 +43,8 @@ def test_frozen_values_are_immutable_hashable_and_keep_their_repr(build, text):
 
 
 def test_frozen_values_unpack_like_tuples():
-    i, j, k = find_proper_site((0, 0, 1, 0))
-    assert (i, j, k) == (0, 1, 3)
+    i, p, j, q = find_proper_site((0, 0, 1, 0))
+    assert (i, p, j, q) == (0, 1, 1, 3)
     assert run((0, 0, 1, 0), 2) == (False, 4)
 
 
