@@ -16,21 +16,22 @@ from unitrail import (
 from unitrail.grammar import GrammarNFA, build_grammar_nfa
 from unitrail.transposition import TranspositionSite
 
-# (build one value, its repr); each is built twice, so the two are equal
-# but not the same object.  The Verdict strings and the site found are the
-# README's Library examples.
+# (case id, build one value, its repr); each is built twice, so the two
+# are equal but not the same object.  The Verdict strings and the site found
+# are the README's Library examples.  The two sites are named by their shape:
+# a one-anchor site is one whose p equals j.
 VALUES = [
-    (lambda: run((0, 0, 1, 0), 2), "Verdict(accepted=False, first_rejection=4)"),
+    ("Verdict0", lambda: run((0, 0, 1, 0), 2), "Verdict(accepted=False, first_rejection=4)"),
     # run returns one shared accepted verdict, so build fresh ones from it
-    (lambda: Verdict(*run((0, 1), 2)), "Verdict(accepted=True, first_rejection=None)"),
-    (lambda: parse_trail("a b a", tokens=True)[1], "Alphabet(size=2, names=('a', 'b'))"),
-    (lambda: build_grammar_nfa(2, "amended"), "GrammarNFA(size=2, mode='amended')"),
-    (lambda: TranspositionSite(0, 3, 4, 5), "TranspositionSite(i=0, p=3, j=4, q=5)"),
-    (lambda: find_proper_site((0, 0, 1, 0)), "TranspositionSite(i=0, p=1, j=1, q=3)"),
+    ("Verdict1", lambda: Verdict(*run((0, 1), 2)), "Verdict(accepted=True, first_rejection=None)"),
+    ("Alphabet", lambda: parse_trail("a b a", tokens=True)[1], "Alphabet(size=2, names=('a', 'b'))"),
+    ("GrammarNFA", lambda: build_grammar_nfa(2, "amended"), "GrammarNFA(size=2, mode='amended')"),
+    ("TwoAnchors", lambda: TranspositionSite(0, 3, 4, 5), "TranspositionSite(i=0, p=3, j=4, q=5)"),
+    ("OneAnchor", lambda: find_proper_site((0, 0, 1, 0)), "TranspositionSite(i=0, p=1, j=1, q=3)"),
 ]
 
 
-@pytest.mark.parametrize("build,text", VALUES, ids=[text.split("(")[0] for _, text in VALUES])
+@pytest.mark.parametrize("build,text", [pytest.param(b, t, id=i) for i, b, t in VALUES])
 def test_frozen_values_are_immutable_hashable_and_keep_their_repr(build, text):
     value, twin = build(), build()
     assert value is not twin
