@@ -2,7 +2,7 @@
 
 from .automaton import AutomatonState, Verdict, advance, init_state, run
 from .core import Alphabet, Trail, TrailParseError, chars_alphabet, parse_trail
-from .grammar import GrammarNFA, build_grammar_nfa, nfa_accepts
+from .grammar import GrammarNFA, LiveSet, build_grammar_nfa, nfa_accepts
 from .harness import CrosscheckReport, cross_validate
 from .mfw import brute_mfw, constructive_mfw
 from .oracle import enumerate_trails, is_unique_trail
@@ -21,6 +21,7 @@ __all__ = [
     "AutomatonState",
     "CrosscheckReport",
     "GrammarNFA",
+    "LiveSet",
     "Trail",
     "TrailParseError",
     "TranspositionSite",

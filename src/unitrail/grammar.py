@@ -1,4 +1,4 @@
-"""Right-linear grammar for the non-unique trails, computed as an NFA.
+"""Right-linear grammar for the non-unique trails, simulated as an NFA.
 
 The grammar guesses the two occurrences of the leading anchor vertex, a
 marked vertex seen up to the second occurrence that must recur afterwards,
@@ -14,28 +14,31 @@ shapes:
 * ``await(b)``         past the second occurrence, waiting for the mark,
 * ``accept``           the mark recurred; absorbing.
 
-Every arc comes from one rule, ``step``, which moves a whole collection
-of states on one symbol into an output set, so nothing is built per
-alphabet: a run steps only its live set of states (subset simulation),
-with one call of the rule per symbol.
-Nothing here lists the 2 + 2m + m² + m³ states; the tests do, to check the
-rule over the whole space.
+A run never lists these states, about L·m/2 of them after L symbols over
+m.  It steps a :class:`LiveSet`, a factored form with one value per
+symbol and per pair of consecutive symbols.  The marks of
+``span(a, c, ·)`` are the symbols read from the first ``c`` that
+followed an ``a`` on, so the mark sets nest and are not stored, and the
+``branch`` states are read off the last symbol's pairs.  A step reads at
+most two of those pairs.  It adds to the ``await`` marks only the
+symbols read since it last added some, unless the new marks reach back
+past those already added, and a new pair copies its anchor's followers.
+So a run takes linear time on trails in which no vertex has many
+followers.  The tests hold this form to the NFA's rule, state by state,
+on every short word.
+
 The two variants differ by one production.  In ``strict`` mode the mark
 can only be a vertex of the in-between stretch (or the anchor itself when
 the stretch is empty), which is sound but misses inputs like 0 1 0 0 and
-0 1 0 2 0.  ``amended`` mode also has ``anchor(a) --c--> span(a, c, a)``,
-which lets the mark be the anchor while the stretch is nonempty and closes
-the gap; the cross-validation harness reports the delta between the two
-instead of hiding it.
+0 1 0 2 0.  ``amended`` mode also has
+``anchor(a) --c--> span(a, c, a)``, which lets the mark be the anchor
+while the stretch is nonempty and closes the gap; the cross-validation
+harness reports the delta between the two instead of hiding it.
 """
 
 from typing import NamedTuple
 
 from .core import Trail
-
-State = tuple
-START: State = ("start",)
-ACCEPT: State = ("accept",)
 
 
 class _GrammarFields(NamedTuple):
@@ -62,65 +65,128 @@ class GrammarNFA(_GrammarFields):
 
 
 def build_grammar_nfa(size: int, mode: str = "strict") -> GrammarNFA:
-    """The grammar over ``size`` symbols in ``mode``; its arcs are computed
-    on demand."""
+    """The grammar over ``size`` symbols in ``mode``; nothing is
+    materialized."""
     return GrammarNFA(size, mode)
 
 
-def step(nfa: GrammarNFA, states, symbol: int, into: set) -> None:
-    """Add to ``into`` the states that each of ``states`` moves to on ``symbol``."""
-    d = symbol
-    add = into.add
-    for state in states:
-        match state:
-            # span first: it makes up most of every live set
-            case ("span", a, c, b):
-                add(state)
-                add(("span", a, c, d))
-                if d == a:
-                    add(("branch", c, b))
-            case ("start",):
-                add(START)
-                add(("anchor", d))
-            case ("anchor", a):
-                add(("span", a, d, d))
-                if nfa.mode == "amended":
-                    add(("span", a, d, a))
-                if d == a:
-                    add(("branch", a, a))
-            case ("branch", c, b):
-                if d != c:
-                    add(("await", b))
-                    if d == b:
-                        add(ACCEPT)
-            case ("await", b):
-                add(state)
-                if d == b:
-                    add(ACCEPT)
-            case ("accept",):
-                add(ACCEPT)
-            case _:
-                raise ValueError(f"not a grammar state: {state!r}")
+class LiveSet:
+    """The live states of one run after ``n`` symbols, factored.
+
+    ``seen`` maps each symbol read to the index of its last occurrence, in
+    the order of that index, so ``last`` is its final key.  ``pairs[a]``
+    maps each follower ``c`` of ``a`` to ``pos``, the index of the first
+    ``c`` read right after an ``a``, in the order of ``pos``; the states
+    ``span(a, c, b)`` are live for every ``b`` whose last occurrence is at
+    ``pos`` or later, and in ``amended`` mode for ``b == a``.  Each of
+    those dicts is replaced, never changed, when a pair is added, so a
+    shallow :meth:`copy` is independent of its source.
+
+    ``prev`` is the index of the occurrence of ``last`` before the final
+    one, ``-1`` if none.  The states ``branch(c, b)`` are read off
+    ``pairs[last]``: the pair ``(c, pos)`` gives ``b`` in the symbols other
+    than ``last`` whose last occurrence is at ``pos`` or later, and
+    ``last`` itself in ``amended`` mode, when ``prev >= pos``, or when
+    ``pos == n - 1`` (the pair ``(last, last)`` the final symbol made).
+    ``awaits`` holds the marks of the live ``await`` states, and
+    ``accepted`` whether ``accept`` is live.  Every symbol whose last
+    occurrence lies in ``lo..hi`` is in ``awaits``, so a step adds only
+    marks read since ``hi``.  States compare equal when all their fields
+    do.
+    """
+
+    __slots__ = ("seen", "pairs", "awaits", "accepted", "last", "prev", "n", "lo", "hi")
+
+    def __init__(self):
+        self.seen: dict[int, int] = {}
+        self.pairs: dict[int, dict[int, int]] = {}
+        self.awaits: set[int] = set()
+        self.accepted = False
+        self.last: int | None = None
+        self.prev = -1
+        self.n = 0
+        self.lo = 0
+        self.hi = -1
+
+    def copy(self) -> "LiveSet":
+        twin = LiveSet.__new__(LiveSet)
+        twin.seen = self.seen.copy()
+        twin.pairs = self.pairs.copy()
+        twin.awaits = self.awaits.copy()
+        twin.accepted = self.accepted
+        twin.last = self.last
+        twin.prev = self.prev
+        twin.n = self.n
+        twin.lo = self.lo
+        twin.hi = self.hi
+        return twin
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"LiveSet({fields})"
 
 
-def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: set | None = None) -> bool:
-    """Whether the grammar derives ``trail``, by subset simulation.
+def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> bool:
+    """Whether the grammar derives ``trail``.
 
-    The run starts from ``live``, or from a fresh ``{START}`` when it is
-    omitted, and leaves a given ``live`` holding the states after
+    The run starts from ``live``, or from a fresh :class:`LiveSet` when it
+    is omitted, and leaves a given ``live`` holding the states after
     ``trail``, so a caller can feed a trail in pieces and get the same
-    verdict and the same set as one call.  Every symbol is checked against
-    ``nfa.size``, here and before the first step: one outside it raises
-    ``ValueError`` and leaves ``live`` untouched.
+    verdict and the same live set as one call.  Every symbol is checked
+    against ``nfa.size``, here and before the first step: one outside it
+    raises ``ValueError`` and leaves ``live`` untouched.
     """
     size = nfa.size
     for symbol in trail:
         if not 0 <= symbol < size:
             raise ValueError(f"symbol {symbol} out of range for alphabet size {size}")
     if live is None:
-        live = {START}
+        live = LiveSet()
+    amended = nfa.mode == "amended"
+    seen, pairs, awaits = live.seen, live.pairs, live.awaits
+    accepted, last, prev, n, lo, hi = live.accepted, live.last, live.prev, live.n, live.lo, live.hi
     for symbol in trail:
-        current = tuple(live)
-        live.clear()
-        step(nfa, current, symbol, live)
-    return ACCEPT in live
+        if n:
+            followers = pairs.get(last)
+            if followers:
+                # the branches that leave towards a symbol other than this
+                # one await the union of their marks, which is the marks
+                # of the earliest: pos grows along the dict
+                for follower, pos in followers.items():
+                    if follower != symbol:
+                        if amended or prev >= pos or pos == n - 1:
+                            awaits.add(last)
+                        if lo <= pos <= hi + 1:
+                            stop = hi + 1  # lo..hi is in awaits already
+                        else:
+                            stop = lo = pos
+                        hi = n - 2
+                        marks = reversed(seen.items())
+                        next(marks)  # last itself, handled above
+                        for mark, at in marks:
+                            if at < stop:
+                                break
+                            awaits.add(mark)
+                        break
+                if symbol not in followers:
+                    pairs[last] = {**followers, symbol: n}
+            else:
+                pairs[last] = {symbol: n}
+        # awaits now also holds the marks of the branches just left, so
+        # this is await(b) and branch(c, b) both reading b
+        if symbol in awaits:
+            accepted = True
+        prev = seen.pop(symbol, -1)
+        seen[symbol] = n
+        last = symbol
+        n += 1
+    live.accepted, live.last, live.prev, live.n, live.lo, live.hi = accepted, last, prev, n, lo, hi
+    return accepted

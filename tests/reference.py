@@ -1,7 +1,8 @@
 """What only the tests use: the arcs of a trail's graph, the O(n⁴) list of
-every site, every grammar state, the grammar's step of one state, the
-acceptance test on an automaton state and the checked shift lemma.  The
-package never calls them.
+every site, the grammar NFA's rule, its states and its set-based
+simulation, the explicit states of a factored live set, the acceptance
+test on an automaton state and the checked shift lemma.  The package never
+calls them.
 
 Import it the way the tests import ``conftest``:
 ``from reference import all_sites``.
@@ -12,7 +13,7 @@ from itertools import product
 
 from unitrail.automaton import AutomatonState
 from unitrail.core import Trail
-from unitrail.grammar import ACCEPT, START, GrammarNFA, State, step
+from unitrail.grammar import GrammarNFA, LiveSet
 from unitrail.transposition import TranspositionSite, apply_transposition, validate_site
 
 
@@ -24,6 +25,60 @@ def arcs(trail: Trail) -> Counter:
 def is_accepting(state: AutomatonState) -> bool:
     """Accepting while at least one vertex is still white."""
     return not all(state.black)
+
+
+State = tuple
+START: State = ("start",)
+ACCEPT: State = ("accept",)
+
+
+def step(nfa: GrammarNFA, states, symbol: int, into: set) -> None:
+    """The grammar's one rule: add to ``into`` the states that each of
+    ``states`` moves to on ``symbol``."""
+    d = symbol
+    add = into.add
+    for state in states:
+        match state:
+            case ("span", a, c, b):
+                add(state)
+                add(("span", a, c, d))
+                if d == a:
+                    add(("branch", c, b))
+            case ("start",):
+                add(START)
+                add(("anchor", d))
+            case ("anchor", a):
+                add(("span", a, d, d))
+                if nfa.mode == "amended":
+                    add(("span", a, d, a))
+                if d == a:
+                    add(("branch", a, a))
+            case ("branch", c, b):
+                if d != c:
+                    add(("await", b))
+                    if d == b:
+                        add(ACCEPT)
+            case ("await", b):
+                add(state)
+                if d == b:
+                    add(ACCEPT)
+            case ("accept",):
+                add(ACCEPT)
+            case _:
+                raise ValueError(f"not a grammar state: {state!r}")
+
+
+def simulate(nfa: GrammarNFA, trail: Trail, live: set | None = None) -> bool:
+    """Whether the grammar derives ``trail``, by subset simulation of the
+    rule: ``live`` (a fresh ``{START}`` when omitted) is left holding the
+    states after ``trail``."""
+    if live is None:
+        live = {START}
+    for symbol in trail:
+        current = tuple(live)
+        live.clear()
+        step(nfa, current, symbol, live)
+    return ACCEPT in live
 
 
 def all_states(nfa: GrammarNFA):
@@ -46,6 +101,31 @@ def successors(nfa: GrammarNFA, state: State, symbol: int) -> set:
     found: set = set()
     step(nfa, (state,), symbol, found)
     return found
+
+
+def expand(nfa: GrammarNFA, live: LiveSet) -> set:
+    """The states a factored live set stands for, listed one by one."""
+    states = {START}
+    if live.accepted:
+        states.add(ACCEPT)
+    states.update(("await", b) for b in live.awaits)
+    if not live.n:
+        return states
+    d = live.last
+    states.add(("anchor", d))
+    amended = nfa.mode == "amended"
+    for a, followers in live.pairs.items():
+        for c, pos in followers.items():
+            marks = {b for b, at in live.seen.items() if at >= pos}
+            if amended:
+                marks.add(a)
+            states.update(("span", a, c, b) for b in marks)
+    for c, pos in live.pairs.get(d, {}).items():
+        marks = {b for b, at in live.seen.items() if at >= pos and b != d}
+        if amended or live.prev >= pos or pos == live.n - 1:
+            marks.add(d)
+        states.update(("branch", c, b) for b in marks)
+    return states
 
 
 def is_proper(trail: Trail, site: TranspositionSite) -> bool:

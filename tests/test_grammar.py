@@ -1,12 +1,15 @@
 import hashlib
+import itertools
+import random
 
 import pytest
 
-from unitrail.grammar import START, build_grammar_nfa, nfa_accepts, step
+from unitrail.automaton import run
+from unitrail.grammar import LiveSet, build_grammar_nfa, nfa_accepts
 from unitrail.transposition import has_proper_transposition
 
 from conftest import all_strings
-from reference import all_states, successors
+from reference import START, all_states, expand, simulate, step, successors
 
 
 def _state_label(state):
@@ -52,7 +55,7 @@ def test_stepping_a_set_is_the_union_of_its_states_steps(mode):
         reached = {frozenset(all_states(nfa))}
         for word in all_strings(size, 6):
             live = {START}
-            nfa_accepts(nfa, word, live)
+            simulate(nfa, word, live)
             reached.add(frozenset(live))
         for states in reached:
             for symbol in range(size):
@@ -108,11 +111,54 @@ def test_single_symbol_grammars_generate_nothing():
 def test_live_sets_stay_within_the_state_space():
     nfa = build_grammar_nfa(3, "amended")
     states = set(all_states(nfa))
-    live = {START}
+    live = LiveSet()
     for piece in [(), *((symbol,) for symbol in (0, 1, 0, 2, 0, 1, 2))]:
         nfa_accepts(nfa, piece, live)
-        assert len(live) <= len(states) == 44
-        assert live <= states
+        assert len(expand(nfa, live)) <= len(states) == 44
+        assert expand(nfa, live) <= states
+
+
+@pytest.mark.parametrize("mode", ["strict", "amended"])
+def test_the_factored_live_set_stands_for_the_rule_s_live_set(mode):
+    # every word of (1,<=9), (2,<=11), (3,<=7) and (4,<=6), the empty one
+    # included: the factored verdict and states are the subset
+    # simulation's, each word stepped once from its prefix's live sets
+    words = 0
+    for size, max_len in ((1, 9), (2, 11), (3, 7), (4, 6)):
+        nfa = build_grammar_nfa(size, mode)
+        stack = [((), LiveSet(), {START})]
+        while stack:
+            word, live, reference = stack.pop()
+            words += 1
+            assert expand(nfa, live) == reference, word
+            if len(word) == max_len:
+                continue
+            for symbol in range(size):
+                factored, explicit = live.copy(), set(reference)
+                verdict = nfa_accepts(nfa, (symbol,), factored)
+                assert verdict == simulate(nfa, (symbol,), explicit), word + (symbol,)
+                stack.append((word + (symbol,), factored, explicit))
+    assert words == 12846
+
+
+def test_a_live_set_copy_is_independent_and_compares_by_its_fields():
+    nfa = build_grammar_nfa(3, "strict")
+    live = LiveSet()
+    nfa_accepts(nfa, (0, 1, 0), live)
+    twin = live.copy()
+    assert twin == live and twin is not live
+    # 0 gets the new follower 2: the copy's pairs change, the source's not
+    nfa_accepts(nfa, (2, 1), twin)
+    assert twin != live
+    assert expand(nfa, live) == {START, ("anchor", 0), ("span", 0, 1, 0), ("span", 0, 1, 1),
+                                 ("span", 1, 0, 0), ("branch", 1, 1)}
+    assert repr(live) == (
+        "LiveSet(seen={1: 1, 0: 2}, pairs={0: {1: 1}, 1: {0: 2}}, awaits=set(), "
+        "accepted=False, last=0, prev=0, n=3, lo=0, hi=-1)"
+    )
+    assert LiveSet() == LiveSet() != live
+    with pytest.raises(TypeError):
+        hash(live)
 
 
 @pytest.mark.parametrize("mode", ["strict", "amended"])
@@ -122,10 +168,10 @@ def test_nfa_accepts_is_split_invariant(mode):
     for size in (1, 2, 3):
         nfa = build_grammar_nfa(size, mode)
         for word in all_strings(size, 7):
-            whole = {START}
+            whole = LiveSet()
             verdict = nfa_accepts(nfa, word, whole)
             assert nfa_accepts(nfa, word) == verdict
-            live = {START}
+            live = LiveSet()
             for symbol in word:
                 stepped = nfa_accepts(nfa, (symbol,), live)
             assert (stepped, live) == (verdict, whole), word
@@ -133,9 +179,9 @@ def test_nfa_accepts_is_split_invariant(mode):
 
 def test_a_bad_symbol_leaves_the_live_set_untouched():
     nfa = build_grammar_nfa(3, "amended")
-    live = {START}
+    live = LiveSet()
     nfa_accepts(nfa, (0, 1), live)
-    before = set(live)
+    before = live.copy()
     with pytest.raises(ValueError) as fresh:
         nfa_accepts(nfa, (0, 3))
     with pytest.raises(ValueError) as stepped:
@@ -184,3 +230,35 @@ def test_amended_matches_the_scan_at_alphabet_size_64():
     for word in words:
         assert nfa_accepts(nfa, word) == has_proper_transposition(word), word
     assert [nfa_accepts(nfa, word) for word in words] == [True, True, False, False, False, False]
+
+
+def unique_walk(rng, length):
+    """A walk that is the unique trail of its graph: it goes round cycles
+    of fresh vertices, each a few times, and leaves each part way round by
+    a new arc to a fresh vertex, never to come back."""
+    fresh = itertools.count(1)
+    walk = [0]
+    while len(walk) < length:
+        cycle = [walk[-1]] + [next(fresh) for _ in range(rng.randint(0, 11))]
+        walk += (cycle[1:] + cycle[:1]) * rng.randint(1, 6) + cycle[1 : rng.randrange(len(cycle)) + 1]
+        walk.append(next(fresh))
+    return tuple(walk[:length])
+
+
+def test_the_grammars_agree_with_the_automaton_on_long_trails():
+    # the amended grammar accepts exactly the trails the automaton
+    # rejects, and the strict one accepts none that the automaton accepts
+    rng = random.Random(2005)
+    trails = [tuple(rng.randrange(size) for _ in range(rng.randint(5, 400)))
+              for size in (rng.randint(2, 40) for _ in range(150))]
+    trails += [unique_walk(rng, length) for length in (100, 250, 500, 1000, 2000)]
+    doubled = tuple(vertex for vertex in range(1000) for _ in (0, 1))
+    trails += [doubled, doubled[::-1], tuple(itertools.islice(itertools.cycle(range(1024)), 10_000))]
+    unique = 0
+    for trail in trails:
+        size = max(trail) + 1
+        accepted = run(trail, size).accepted
+        unique += accepted
+        assert nfa_accepts(build_grammar_nfa(size, "amended"), trail) == (not accepted), trail
+        assert not (accepted and nfa_accepts(build_grammar_nfa(size, "strict"), trail)), trail
+    assert unique >= 8

@@ -5,7 +5,7 @@ import pytest
 from unitrail import harness
 from unitrail.automaton import Verdict, run
 from unitrail.cli import main
-from unitrail.grammar import START, build_grammar_nfa, nfa_accepts
+from unitrail.grammar import LiveSet, build_grammar_nfa, nfa_accepts
 from unitrail.harness import CLASSIFIERS, cross_validate
 from unitrail.oracle import is_unique_trail
 from unitrail.transposition import has_proper_transposition
@@ -78,7 +78,7 @@ def test_no_classifier_under_test_is_shared_across_a_class(classifier, mode, mon
     else:
         # the sweep steps a grammar one symbol from the parent's live set,
         # and no other string of the sweep reaches 0 1 0's live set
-        parent = {START}
+        parent = LiveSet()
         nfa_accepts(build_grammar_nfa(3, mode), target[:-1], parent)
 
         def faulty(nfa, trail, live=None):
