@@ -23,9 +23,9 @@ followed an ``a`` on, so the mark sets nest and are not stored, and the
 most two of those pairs.  It adds to the ``await`` marks only the
 symbols read since it last added some, unless the new marks reach back
 past those already added, and a new pair copies its anchor's followers.
-So a run takes linear time on trails in which no vertex has many
-followers.  The tests hold this form to the NFA's rule, state by state,
-on every short word.
+The run stops once a mark both variants await recurs, so no follower
+dict it copies has more than 3 entries.  The tests hold this form to the
+NFA's rule, state by state, on every short word.
 
 The two variants differ by one production.  In ``strict`` mode the mark
 can only be a vertex of the in-between stretch (or the anchor itself when
@@ -33,7 +33,10 @@ the stretch is empty), which is sound but misses inputs like 0 1 0 0 and
 0 1 0 2 0.  ``amended`` mode also has
 ``anchor(a) --c--> span(a, c, a)``, which lets the mark be the anchor
 while the stretch is nonempty and closes the gap; the cross-validation
-harness reports the delta between the two instead of hiding it.
+harness reports the delta between the two instead of hiding it.  That
+production adds only ``await`` marks, the anchors it lets a branch
+await, so one live set holds both variants' states: the marks both
+await, and the set ``anchors`` that only the amended grammar awaits.
 """
 
 from typing import NamedTuple
@@ -71,7 +74,7 @@ def build_grammar_nfa(size: int, mode: str = "strict") -> GrammarNFA:
 
 
 class LiveSet:
-    """The live states of one run after ``n`` symbols, factored.
+    """The live states of both grammars after ``n`` symbols, factored.
 
     ``seen`` maps each symbol read to the index of its last occurrence, in
     the order of that index, so ``last`` is its final key.  ``pairs[a]``
@@ -88,32 +91,35 @@ class LiveSet:
     than ``last`` whose last occurrence is at ``pos`` or later, and
     ``last`` itself in ``amended`` mode, when ``prev >= pos``, or when
     ``pos == n - 1`` (the pair ``(last, last)`` the final symbol made).
-    ``awaits`` holds the marks of the live ``await`` states, and
-    ``accepted`` whether ``accept`` is live.  Every symbol whose last
-    occurrence lies in ``lo..hi`` is in ``awaits``, so a step adds only
-    marks read since ``hi``.  States compare equal when all their fields
-    do.
+    ``awaits`` holds the marks of the ``await`` states live in both
+    grammars, and ``anchors`` the anchors that only the amended grammar
+    awaits.  ``strict`` and ``amended`` say whether each grammar's
+    ``accept`` is live: a mark in ``awaits`` sets both, one in
+    ``anchors`` only ``amended``.  Every symbol whose last occurrence lies
+    in ``lo..hi`` is in ``awaits``, so a step adds only marks read since
+    ``hi``.  States compare equal when all their fields do.
     """
 
-    __slots__ = ("seen", "pairs", "awaits", "accepted", "last", "prev", "n", "lo", "hi")
+    __slots__ = ("seen", "pairs", "awaits", "anchors", "strict", "amended", "last", "prev", "n", "lo", "hi")
 
     def __init__(self):
         self.seen: dict[int, int] = {}
         self.pairs: dict[int, dict[int, int]] = {}
         self.awaits: set[int] = set()
-        self.accepted = False
+        self.anchors: set[int] = set()
+        self.strict = self.amended = False
         self.last: int | None = None
-        self.prev = -1
-        self.n = 0
-        self.lo = 0
-        self.hi = -1
+        self.prev = self.hi = -1
+        self.n = self.lo = 0
 
     def copy(self) -> "LiveSet":
         twin = LiveSet.__new__(LiveSet)
         twin.seen = self.seen.copy()
         twin.pairs = self.pairs.copy()
         twin.awaits = self.awaits.copy()
-        twin.accepted = self.accepted
+        twin.anchors = self.anchors.copy()
+        twin.strict = self.strict
+        twin.amended = self.amended
         twin.last = self.last
         twin.prev = self.prev
         twin.n = self.n
@@ -135,25 +141,34 @@ class LiveSet:
 
 
 def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> bool:
-    """Whether the grammar derives ``trail``.
+    """Whether the grammar derives ``trail``, in ``nfa.mode``.
 
     The run starts from ``live``, or from a fresh :class:`LiveSet` when it
-    is omitted, and leaves a given ``live`` holding the states after
-    ``trail``, so a caller can feed a trail in pieces and get the same
-    verdict and the same live set as one call.  Every symbol is checked
+    is omitted, and leaves a given ``live`` holding the states of both
+    grammars after ``trail``, so a caller can feed a trail in pieces and
+    get the same verdict and the same live set as one call, and read the
+    other grammar's verdict off ``live``.  Every symbol is checked
     against ``nfa.size``, here and before the first step: one outside it
     raises ``ValueError`` and leaves ``live`` untouched.
+
+    The run stops stepping once ``live.strict`` holds: both grammars then
+    accept, since ``accept`` is absorbing and the strict grammar's marks
+    are some of the amended one's, so ``live`` keeps its fields from then
+    on.  Up to that stop no vertex has more than 3 followers: the step
+    that gives a vertex its third follower also puts it in ``awaits``, so
+    its next occurrence sets ``strict``.  No follower dict the run copies
+    has more than 3 entries.
     """
     size = nfa.size
     for symbol in trail:
         if not 0 <= symbol < size:
             raise ValueError(f"symbol {symbol} out of range for alphabet size {size}")
-    if live is None:
-        live = LiveSet()
-    amended = nfa.mode == "amended"
-    seen, pairs, awaits = live.seen, live.pairs, live.awaits
-    accepted, last, prev, n, lo, hi = live.accepted, live.last, live.prev, live.n, live.lo, live.hi
+    live = LiveSet() if live is None else live
+    seen, pairs, awaits, anchors = live.seen, live.pairs, live.awaits, live.anchors
+    strict, amended, last, prev, n, lo, hi = live.strict, live.amended, live.last, live.prev, live.n, live.lo, live.hi
     for symbol in trail:
+        if strict:
+            break
         if n:
             followers = pairs.get(last)
             if followers:
@@ -162,8 +177,9 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> b
                 # of the earliest: pos grows along the dict
                 for follower, pos in followers.items():
                     if follower != symbol:
-                        if amended or prev >= pos or pos == n - 1:
-                            awaits.add(last)
+                        # both grammars await last, or only the amended
+                        # one, through its extra production
+                        (awaits if prev >= pos or pos == n - 1 else anchors).add(last)
                         if lo <= pos <= hi + 1:
                             stop = hi + 1  # lo..hi is in awaits already
                         else:
@@ -180,13 +196,15 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> b
                     pairs[last] = {**followers, symbol: n}
             else:
                 pairs[last] = {symbol: n}
-        # awaits now also holds the marks of the branches just left, so
-        # this is await(b) and branch(c, b) both reading b
+        # awaits and anchors now also hold the marks of the branches just
+        # left, so this is await(b) and branch(c, b) both reading b
         if symbol in awaits:
-            accepted = True
+            strict = amended = True
+        elif symbol in anchors:
+            amended = True
         prev = seen.pop(symbol, -1)
         seen[symbol] = n
         last = symbol
         n += 1
-    live.accepted, live.last, live.prev, live.n, live.lo, live.hi = accepted, last, prev, n, lo, hi
-    return accepted
+    live.strict, live.amended, live.last, live.prev, live.n, live.lo, live.hi = strict, amended, last, prev, n, lo, hi
+    return amended if nfa.mode == "amended" else strict

@@ -104,16 +104,19 @@ def successors(nfa: GrammarNFA, state: State, symbol: int) -> set:
 
 
 def expand(nfa: GrammarNFA, live: LiveSet) -> set:
-    """The states a factored live set stands for, listed one by one."""
+    """The states a factored live set stands for in ``nfa.mode``, listed
+    one by one."""
+    amended = nfa.mode == "amended"
     states = {START}
-    if live.accepted:
+    if live.amended if amended else live.strict:
         states.add(ACCEPT)
     states.update(("await", b) for b in live.awaits)
+    if amended:
+        states.update(("await", b) for b in live.anchors)
     if not live.n:
         return states
     d = live.last
     states.add(("anchor", d))
-    amended = nfa.mode == "amended"
     for a, followers in live.pairs.items():
         for c, pos in followers.items():
             marks = {b for b, at in live.seen.items() if at >= pos}

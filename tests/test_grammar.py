@@ -9,7 +9,7 @@ from unitrail.grammar import LiveSet, build_grammar_nfa, nfa_accepts
 from unitrail.transposition import has_proper_transposition
 
 from conftest import all_strings
-from reference import START, all_states, expand, simulate, step, successors
+from reference import ACCEPT, START, all_states, expand, simulate, step, successors
 
 
 def _state_label(state):
@@ -121,24 +121,62 @@ def test_live_sets_stay_within_the_state_space():
 @pytest.mark.parametrize("mode", ["strict", "amended"])
 def test_the_factored_live_set_stands_for_the_rule_s_live_set(mode):
     # every word of (1,<=9), (2,<=11), (3,<=7) and (4,<=6), the empty one
-    # included: the factored verdict and states are the subset
-    # simulation's, each word stepped once from its prefix's live sets
+    # included: one live set per word, stepped once from its prefix's by
+    # the grammar in ``mode``, holds both subset simulations' states and
+    # verdicts, whichever grammar steps it
     words = 0
     for size, max_len in ((1, 9), (2, 11), (3, 7), (4, 6)):
-        nfa = build_grammar_nfa(size, mode)
-        stack = [((), LiveSet(), {START})]
+        grammars = [build_grammar_nfa(size, "strict"), build_grammar_nfa(size, "amended")]
+        stepper = grammars[mode == "amended"]
+        stack = [((), LiveSet(), ({START}, {START}))]
         while stack:
-            word, live, reference = stack.pop()
+            word, live, references = stack.pop()
             words += 1
-            assert expand(nfa, live) == reference, word
+            if live.n == len(word):
+                for nfa, reference in zip(grammars, references):
+                    assert expand(nfa, live) == reference, (nfa.mode, word)
+            else:
+                # the run stopped at strict acceptance, which both
+                # grammars keep
+                assert all(ACCEPT in reference for reference in references), word
             if len(word) == max_len:
                 continue
             for symbol in range(size):
-                factored, explicit = live.copy(), set(reference)
-                verdict = nfa_accepts(nfa, (symbol,), factored)
-                assert verdict == simulate(nfa, (symbol,), explicit), word + (symbol,)
+                factored, explicit = live.copy(), tuple(set(reference) for reference in references)
+                verdict = nfa_accepts(stepper, (symbol,), factored)
+                verdicts = [simulate(nfa, (symbol,), reference) for nfa, reference in zip(grammars, explicit)]
+                assert [factored.strict, factored.amended] == verdicts, word + (symbol,)
+                assert verdict == verdicts[mode == "amended"]
+                if live.strict:
+                    assert factored == live, word + (symbol,)
                 stack.append((word + (symbol,), factored, explicit))
     assert words == 12846
+
+
+def test_no_follower_dict_before_the_stop_has_more_than_3_entries():
+    # every word of (2,<=12), (3,<=9), (4,<=7) and (5,<=6): the step stops
+    # once strict holds, before any vertex gets a fourth follower, so the
+    # follower dicts a run copies stay small however long the trail
+    widest = 0
+    for size, max_len in ((2, 12), (3, 9), (4, 7), (5, 6)):
+        nfa = build_grammar_nfa(size, "amended")
+        stack = [(0, LiveSet())]
+        while stack:
+            length, live = stack.pop()
+            widest = max(widest, *map(len, live.pairs.values()), 0)
+            if length < max_len and not live.strict:
+                for symbol in range(size):
+                    child = live.copy()
+                    nfa_accepts(nfa, (symbol,), child)
+                    stack.append((length + 1, child))
+    assert widest == 3
+    # the star 0 1 0 2 .. 0 5000 gives 0 a new follower at every second
+    # symbol; both grammars accept at its seventh, 0 1 0 2 0 3 0
+    star = tuple(symbol for leaf in range(1, 5001) for symbol in (0, leaf))
+    for mode in ("strict", "amended"):
+        live = LiveSet()
+        assert nfa_accepts(build_grammar_nfa(5001, mode), star, live)
+        assert (live.strict, live.amended, live.n, len(live.pairs[0])) == (True, True, 7, 3)
 
 
 def test_a_live_set_copy_is_independent_and_compares_by_its_fields():
@@ -153,8 +191,8 @@ def test_a_live_set_copy_is_independent_and_compares_by_its_fields():
     assert expand(nfa, live) == {START, ("anchor", 0), ("span", 0, 1, 0), ("span", 0, 1, 1),
                                  ("span", 1, 0, 0), ("branch", 1, 1)}
     assert repr(live) == (
-        "LiveSet(seen={1: 1, 0: 2}, pairs={0: {1: 1}, 1: {0: 2}}, awaits=set(), "
-        "accepted=False, last=0, prev=0, n=3, lo=0, hi=-1)"
+        "LiveSet(seen={1: 1, 0: 2}, pairs={0: {1: 1}, 1: {0: 2}}, awaits=set(), anchors=set(), "
+        "strict=False, amended=False, last=0, prev=0, n=3, lo=0, hi=-1)"
     )
     assert LiveSet() == LiveSet() != live
     with pytest.raises(TypeError):

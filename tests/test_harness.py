@@ -76,14 +76,19 @@ def test_no_classifier_under_test_is_shared_across_a_class(classifier, mode, mon
         def faulty(word):
             return has_proper_transposition(word) != (word == target)
     else:
-        # the sweep steps a grammar one symbol from the parent's live set,
-        # and no other string of the sweep reaches 0 1 0's live set
+        # the sweep steps one live set one symbol from the parent's, and no
+        # other string of the sweep reaches 0 1 0's live set; the strict
+        # verdict is read off the stepped live set, so its fault goes there
         parent = LiveSet()
         nfa_accepts(build_grammar_nfa(3, mode), target[:-1], parent)
 
         def faulty(nfa, trail, live=None):
-            planted = nfa.mode == mode and trail == target[-1:] and live == parent
-            return nfa_accepts(nfa, trail, live) != planted
+            planted = trail == target[-1:] and live == parent
+            verdict = nfa_accepts(nfa, trail, live)
+            if planted and mode == "strict":
+                live.strict = not live.strict
+                return verdict
+            return verdict != planted
 
         clean_gaps = cross_validate(3, 4).strict_gaps
 
