@@ -20,11 +20,11 @@ symbol and per pair of consecutive symbols.  The marks of
 ``span(a, c, ·)`` are the symbols read from the first ``c`` that
 followed an ``a`` on, so the mark sets nest and are not stored, and the
 ``branch`` states are read off the last symbol's pairs.  A step reads at
-most two of those pairs.  It adds to the ``await`` marks only the
-symbols read since it last added some, unless the new marks reach back
-past those already added, and a new pair copies its anchor's followers.
-The run stops once a mark both variants await recurs, so no follower
-dict it copies has more than 3 entries.  The tests hold this form to the
+most two of those pairs.  The run stops once a mark both variants await
+recurs, so before the stop an awaited mark's last occurrence never
+moves: the mark leaves the symbols a step walks for good, each mark is
+walked once a run, and a new pair copies its anchor's followers, no
+more than 3 of them.  The tests hold this form to the
 NFA's rule, state by state, on every short word.
 
 The two variants differ by one production.  In ``strict`` mode the mark
@@ -76,10 +76,15 @@ def build_grammar_nfa(size: int, mode: str = "strict") -> GrammarNFA:
 class LiveSet:
     """The live states of both grammars after ``n`` symbols, factored.
 
-    ``seen`` maps each symbol read to the index of its last occurrence, in
-    the order of that index, so ``last`` is its final key.  ``pairs[a]``
-    maps each follower ``c`` of ``a`` to ``pos``, the index of the first
-    ``c`` read right after an ``a``, in the order of ``pos``; the states
+    ``awaits`` maps each mark of the ``await`` states live in both
+    grammars to the index of its last occurrence, and ``seen`` maps every
+    other symbol read the same way, in the order of that index, so
+    ``last`` is its final key.  An awaited mark that recurs stops the run,
+    so until then it keeps its index and stays out of ``seen``; the step
+    that stops the run puts the recurring mark back in ``seen`` with its
+    new index, and ``awaits`` keeps the old one.  ``pairs[a]`` maps each
+    follower ``c`` of ``a`` to ``pos``, the index of the first ``c`` read
+    right after an ``a``, in the order of ``pos``; the states
     ``span(a, c, b)`` are live for every ``b`` whose last occurrence is at
     ``pos`` or later, and in ``amended`` mode for ``b == a``.  Each of
     those dicts is replaced, never changed, when a pair is added, so a
@@ -91,26 +96,23 @@ class LiveSet:
     than ``last`` whose last occurrence is at ``pos`` or later, and
     ``last`` itself in ``amended`` mode, when ``prev >= pos``, or when
     ``pos == n - 1`` (the pair ``(last, last)`` the final symbol made).
-    ``awaits`` holds the marks of the ``await`` states live in both
-    grammars, and ``anchors`` the anchors that only the amended grammar
-    awaits.  ``strict`` and ``amended`` say whether each grammar's
-    ``accept`` is live: a mark in ``awaits`` sets both, one in
-    ``anchors`` only ``amended``.  Every symbol whose last occurrence lies
-    in ``lo..hi`` is in ``awaits``, so a step adds only marks read since
-    ``hi``.  States compare equal when all their fields do.
+    ``anchors`` holds the anchors that only the amended grammar awaits.
+    ``strict`` and ``amended`` say whether each grammar's ``accept`` is
+    live: a mark in ``awaits`` sets both, one in ``anchors`` only
+    ``amended``.  States compare equal when all their fields do.
     """
 
-    __slots__ = ("seen", "pairs", "awaits", "anchors", "strict", "amended", "last", "prev", "n", "lo", "hi")
+    __slots__ = ("seen", "pairs", "awaits", "anchors", "strict", "amended", "last", "prev", "n")
 
     def __init__(self):
         self.seen: dict[int, int] = {}
         self.pairs: dict[int, dict[int, int]] = {}
-        self.awaits: set[int] = set()
+        self.awaits: dict[int, int] = {}
         self.anchors: set[int] = set()
         self.strict = self.amended = False
         self.last: int | None = None
-        self.prev = self.hi = -1
-        self.n = self.lo = 0
+        self.prev = -1
+        self.n = 0
 
     def copy(self) -> "LiveSet":
         twin = LiveSet.__new__(LiveSet)
@@ -123,8 +125,6 @@ class LiveSet:
         twin.last = self.last
         twin.prev = self.prev
         twin.n = self.n
-        twin.lo = self.lo
-        twin.hi = self.hi
         return twin
 
     def _fields(self):
@@ -143,7 +143,8 @@ class LiveSet:
 def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> bool:
     """Whether the grammar derives ``trail``, in ``nfa.mode``.
 
-    The run starts from ``live``, or from a fresh :class:`LiveSet` when it
+    ``trail`` may be any iterable of symbols; it is read once.  The run
+    starts from ``live``, or from a fresh :class:`LiveSet` when it
     is omitted, and leaves a given ``live`` holding the states of both
     grammars after ``trail``, so a caller can feed a trail in pieces and
     get the same verdict and the same live set as one call, and read the
@@ -157,15 +158,17 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> b
     on.  Up to that stop no vertex has more than 3 followers: the step
     that gives a vertex its third follower also puts it in ``awaits``, so
     its next occurrence sets ``strict``.  No follower dict the run copies
-    has more than 3 entries.
+    has more than 3 entries, and each symbol moves from ``seen`` to
+    ``awaits`` at most once, so a run is linear in ``trail``.
     """
+    trail = tuple(trail)
     size = nfa.size
     for symbol in trail:
         if not 0 <= symbol < size:
             raise ValueError(f"symbol {symbol} out of range for alphabet size {size}")
     live = LiveSet() if live is None else live
     seen, pairs, awaits, anchors = live.seen, live.pairs, live.awaits, live.anchors
-    strict, amended, last, prev, n, lo, hi = live.strict, live.amended, live.last, live.prev, live.n, live.lo, live.hi
+    strict, amended, last, prev, n = live.strict, live.amended, live.last, live.prev, live.n
     for symbol in trail:
         if strict:
             break
@@ -177,20 +180,20 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> b
                 # of the earliest: pos grows along the dict
                 for follower, pos in followers.items():
                     if follower != symbol:
-                        # both grammars await last, or only the amended
-                        # one, through its extra production
-                        (awaits if prev >= pos or pos == n - 1 else anchors).add(last)
-                        if lo <= pos <= hi + 1:
-                            stop = hi + 1  # lo..hi is in awaits already
-                        else:
-                            stop = lo = pos
-                        hi = n - 2
-                        marks = reversed(seen.items())
-                        next(marks)  # last itself, handled above
-                        for mark, at in marks:
-                            if at < stop:
+                        # the marks read from pos on are the newest end of
+                        # seen; those already awaited left it before
+                        while seen:
+                            mark, at = seen.popitem()
+                            if at < pos:
+                                seen[mark] = at
                                 break
-                            awaits.add(mark)
+                            awaits[mark] = at
+                        # last was among them; both grammars await it only
+                        # when prev >= pos or pos == n - 1, else only the
+                        # amended one does, through its extra production
+                        if prev < pos < n - 1:
+                            seen[last] = awaits.pop(last)
+                            anchors.add(last)
                         break
                 if symbol not in followers:
                     pairs[last] = {**followers, symbol: n}
@@ -202,9 +205,9 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> b
             strict = amended = True
         elif symbol in anchors:
             amended = True
-        prev = seen.pop(symbol, -1)
+        prev = seen.pop(symbol, awaits.get(symbol, -1))
         seen[symbol] = n
         last = symbol
         n += 1
-    live.strict, live.amended, live.last, live.prev, live.n, live.lo, live.hi = strict, amended, last, prev, n, lo, hi
+    live.strict, live.amended, live.last, live.prev, live.n = strict, amended, last, prev, n
     return amended if nfa.mode == "amended" else strict

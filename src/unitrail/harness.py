@@ -49,10 +49,10 @@ class CrosscheckReport:
     strict grammar's unsound words and its completeness gaps, and the
     seconds spent in each classifier."""
 
-    def __init__(self, alphabet_size: int, max_len: int, checked: int = 0):
+    def __init__(self, alphabet_size: int, max_len: int):
         self.alphabet_size = alphabet_size
         self.max_len = max_len
-        self.checked = checked
+        self.checked = 0
         self.disagreements: list = []
         self.strict_unsound: list = []
         self.strict_gaps: list = []

@@ -80,6 +80,6 @@ def is_unique_trail(trail: Trail) -> bool:
     if not trail:
         return True
     found = list(itertools.islice(enumerate_trails(trail), 2))
-    if len(found) == 1 and found[0] != trail:
+    if len(found) == 1 and found[0] != tuple(trail):
         raise RuntimeError("enumeration lost the defining trail; arc bookkeeping is broken")
     return len(found) == 1

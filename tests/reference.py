@@ -117,14 +117,17 @@ def expand(nfa: GrammarNFA, live: LiveSet) -> set:
         return states
     d = live.last
     states.add(("anchor", d))
+    # every symbol read, at its last occurrence; an awaited mark is in
+    # seen too only at the step that stopped the run, with its new index
+    seen = {**live.awaits, **live.seen}
     for a, followers in live.pairs.items():
         for c, pos in followers.items():
-            marks = {b for b, at in live.seen.items() if at >= pos}
+            marks = {b for b, at in seen.items() if at >= pos}
             if amended:
                 marks.add(a)
             states.update(("span", a, c, b) for b in marks)
     for c, pos in live.pairs.get(d, {}).items():
-        marks = {b for b, at in live.seen.items() if at >= pos and b != d}
+        marks = {b for b, at in seen.items() if at >= pos and b != d}
         if amended or live.prev >= pos or pos == live.n - 1:
             marks.add(d)
         states.update(("branch", c, b) for b in marks)

@@ -433,7 +433,8 @@ def test_mfw_disagreement_prints_difference_and_exits_2(monkeypatch, capsys):
 
 
 def test_crosscheck_disagreement_exits_2(monkeypatch, capsys):
-    fake = CrosscheckReport(2, 4, checked=30)
+    fake = CrosscheckReport(2, 4)
+    fake.checked = 30
     fake.disagreements.append(
         ((0, 0, 1, 0), {"automaton": True, "oracle": False})
     )

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -191,8 +192,8 @@ def test_a_live_set_copy_is_independent_and_compares_by_its_fields():
     assert expand(nfa, live) == {START, ("anchor", 0), ("span", 0, 1, 0), ("span", 0, 1, 1),
                                  ("span", 1, 0, 0), ("branch", 1, 1)}
     assert repr(live) == (
-        "LiveSet(seen={1: 1, 0: 2}, pairs={0: {1: 1}, 1: {0: 2}}, awaits=set(), anchors=set(), "
-        "strict=False, amended=False, last=0, prev=0, n=3, lo=0, hi=-1)"
+        "LiveSet(seen={1: 1, 0: 2}, pairs={0: {1: 1}, 1: {0: 2}}, awaits={}, anchors=set(), "
+        "strict=False, amended=False, last=0, prev=0, n=3)"
     )
     assert LiveSet() == LiveSet() != live
     with pytest.raises(TypeError):
@@ -283,6 +284,17 @@ def unique_walk(rng, length):
     return tuple(walk[:length])
 
 
+def nested_branches(k):
+    """``a1 x1 .. ak xk F ak yk .. a1 y1``, where ``F`` is 2k fresh symbols
+    and every ``x`` and ``y`` is fresh too, so the trail is unique.  Each
+    ``ai yi`` leaves ``ai`` towards another follower than ``xi``, so its
+    marks reach back past those of every branch before it."""
+    anchors, xs, ys = range(k), range(k, 2 * k), range(4 * k, 5 * k)
+    head = [symbol for pair in zip(anchors, xs) for symbol in pair]
+    tail = [symbol for pair in zip(anchors[::-1], ys[::-1]) for symbol in pair]
+    return tuple(head) + tuple(range(2 * k, 4 * k)) + tuple(tail)
+
+
 def test_the_grammars_agree_with_the_automaton_on_long_trails():
     # the amended grammar accepts exactly the trails the automaton
     # rejects, and the strict one accepts none that the automaton accepts
@@ -292,6 +304,7 @@ def test_the_grammars_agree_with_the_automaton_on_long_trails():
     trails += [unique_walk(rng, length) for length in (100, 250, 500, 1000, 2000)]
     doubled = tuple(vertex for vertex in range(1000) for _ in (0, 1))
     trails += [doubled, doubled[::-1], tuple(itertools.islice(itertools.cycle(range(1024)), 10_000))]
+    trails.append(nested_branches(500))
     unique = 0
     for trail in trails:
         size = max(trail) + 1
@@ -300,3 +313,30 @@ def test_the_grammars_agree_with_the_automaton_on_long_trails():
         assert nfa_accepts(build_grammar_nfa(size, "amended"), trail) == (not accepted), trail
         assert not (accepted and nfa_accepts(build_grammar_nfa(size, "strict"), trail)), trail
     assert unique >= 8
+
+
+@pytest.mark.parametrize("mode", ["strict", "amended"])
+def test_each_mark_is_walked_once_a_run(mode):
+    # every branch of the nested shape reaches back past the marks already
+    # awaited; walking those again made this 24,000-symbol run quadratic
+    trail = nested_branches(4000)
+    assert len(trail) == 24_000 and run(trail, len(trail)).accepted
+    nfa = build_grammar_nfa(len(trail), mode)
+    live = LiveSet()
+    start = time.process_time()
+    verdict = nfa_accepts(nfa, trail, live)
+    spent = time.process_time() - start
+    assert not verdict and not live.amended
+    assert spent < 1.0, f"{spent:.2f} s of CPU"
+
+
+@pytest.mark.parametrize("mode", ["strict", "amended"])
+def test_any_iterable_gives_the_tuple_s_verdict_and_live_set(mode):
+    nfa = build_grammar_nfa(2, mode)
+    for word in [(0, 0, 1, 0), (0, 1, 0, 0), (0, 1, 1, 0), (0, 1, 0, 1, 0)]:
+        whole = LiveSet()
+        verdict = nfa_accepts(nfa, word, whole)
+        for trail in (list(word), iter(word)):
+            live = LiveSet()
+            assert nfa_accepts(nfa, trail, live) == verdict, (word, trail)
+            assert live == whole, (word, trail)

@@ -55,6 +55,12 @@ def test_is_unique_examples():
     assert is_unique_trail(())
 
 
+def test_is_unique_takes_a_list():
+    assert is_unique_trail([0, 1])
+    assert is_unique_trail([0, 0, 1, 1])
+    assert not is_unique_trail([0, 0, 1, 0])
+
+
 def test_every_string_appears_in_its_own_enumeration():
     for word in all_strings(3, 6):
         found = list(enumerate_trails(word))
