@@ -7,10 +7,10 @@ vertex.  A vertex turns black once it sits on a committed cycle; when a
 black vertex is entered again the whole table blackens, which is the
 absorbing dead state.  Acceptance = at least one vertex still white.  A step
 leaves every vertex black exactly when the vertex it enters is black, so
-:func:`advance`, the one loop that feeds symbols to a state, decides on
-that one colour and stops on the exact symbol that causes a rejection,
-without scanning the table.  :func:`run` feeds a whole trail to a fresh
-state.
+the one loop that feeds symbols decides on that one colour and stops on
+the exact symbol that causes a rejection, without scanning the table.
+:func:`advance` runs that loop on a state; :func:`run` runs it on fresh
+lists, with no state object, and feeds a whole trail.
 
 A colour is stored as the step at which the vertex turned black, or ``0``
 while it is white; steps count the symbols consumed from the start of each
@@ -104,13 +104,24 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
     state fills only the white vertices with the fatal step.  Steps count
     from the start of this call's ``trail``, so only one call from a fresh
     state numbers the whole input.
+
+    The steps are the one automaton loop, :func:`_feed`, which
+    :func:`run` also calls on fresh lists; ``state.last`` is stored back
+    however the loop ends, a raised error included.
     """
-    follower = state.follower
-    black = state.black
+    return _feed(state.follower, state.black, state.last, trail, state)
+
+
+def _feed(
+    follower: list[int | None], black: list[int], prev: int, trail: Trail, state: AutomatonState | None = None
+) -> int | None:
+    """The loop of :func:`advance`, over the follower and colour lists.
+
+    ``prev`` is the last vertex before ``trail``; the lists are mutated in
+    place.  When ``state`` is given, the last vertex fed is stored into
+    ``state.last`` however the loop ends, a raised error included.
+    """
     size = len(black)
-    prev = state.last
-    # `prev` stands for `state.last` while the loop runs; it is stored back
-    # however the loop ends, a raised error included.
     try:
         for consumed, symbol in enumerate(trail, start=1):
             if not 0 <= symbol < size:
@@ -141,7 +152,8 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
             prev = symbol
         return None
     finally:
-        state.last = prev
+        if state is not None:
+            state.last = prev
 
 
 # An accepted verdict carries no data and a Verdict is immutable, so every
@@ -152,7 +164,8 @@ _ACCEPTED = Verdict(True)
 def run(trail: Trail, size: int) -> Verdict:
     """Feed a trail through the machine and report the verdict.
 
-    One pass of :func:`advance` over the input from a fresh state; it stops
+    One pass of the automaton loop over the input from fresh follower and
+    colour lists, with no :class:`AutomatonState` around them; it stops
     at the first non-accepting prefix (the dead state is absorbing, so
     nothing later can recover).  A step ends non-accepting exactly when
     the vertex it entered is black: phase 2 of the step blackens the whole
@@ -162,11 +175,14 @@ def run(trail: Trail, size: int) -> Verdict:
     returns the same shared ``Verdict(True)``; a rejected run builds its
     own verdict.  A negative ``size`` raises ``ValueError``.
     """
-    if size == 0:
+    if size < 1:
+        if size < 0:
+            raise ValueError("alphabet size must be at least 1")
         if trail:
             raise ValueError("nonempty trail over an empty alphabet")
         return _ACCEPTED
-    consumed = advance(init_state(size), trail)
+    # the lists init_state would build, and its start marker
+    consumed = _feed([None] * (size + 1), [0] * size, size, trail)
     if consumed is None:
         return _ACCEPTED
     return Verdict(False, consumed)

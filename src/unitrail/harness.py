@@ -25,15 +25,29 @@ off the trie like the live set: a string's pattern is its parent's plus
 one index.
 
 Each trie node's strings, its ``size`` children, are checked as one
-batch: every classifier runs over all of them, one call per string,
-between two clock reads, and the report's timings are the sums of those
-per-node batches.  The ``grammar-amended`` timing includes copying the
-parent's live set for each child: a factored
-:class:`~unitrail.grammar.LiveSet`, so four small dict and set copies.
-The ``grammar-strict`` timing is only the read of its verdict; it keeps
-its name, one of :data:`CLASSIFIERS`.
+batch: every classifier is mapped over all of them, one call per
+string, between two clock reads, and the report's timings are the sums
+of those per-node batches.  Each slot holds:
+
+* ``automaton``: one :func:`~unitrail.automaton.run` per string;
+* ``oracle``: one memo read per distinct symbol of the prefix and one
+  for the fresh symbols, if any (every string ending in a fresh symbol
+  has the same pattern), the oracle call on a miss, and the list of the
+  children's patterns, which holds only those few tuples;
+* ``transposition-scan``: one scan per string;
+* ``grammar-amended``: copying the parent's live set for every child
+  but the last, which takes the parent's own, since nothing reads it
+  afterwards (a factored :class:`~unitrail.grammar.LiveSet`, so four
+  small dict and set copies each), and one step per string;
+* ``grammar-strict``: only the read of its verdict off each stepped
+  live set; it keeps its name, one of :data:`CLASSIFIERS`.
+
+The node's verdict lists are then compared as whole lists, and the
+strict list against the scan list; a node is walked string by string
+only when a comparison fails.
 """
 
+from itertools import repeat
 from time import perf_counter
 
 from .automaton import run
@@ -68,8 +82,8 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     # each string is its parent plus one of these; built once per sweep
     singles = [(symbol,) for symbol in range(size)]
     spent_automaton = spent_oracle = spent_scan = spent_amended = spent_strict = 0.0
-    # first-occurrence pattern -> the oracle's verdict on the first word
-    # with that pattern
+    # first-occurrence pattern -> whether the first word with that
+    # pattern is not its graph's unique trail, by the oracle
     verdicts: dict[tuple, bool] = {}
 
     # (prefix, its first-occurrence pattern, its grammar live set), depth
@@ -81,20 +95,35 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
         report.checked += size
         words = [prefix + single for single in singles]
         t0 = perf_counter()
-        accepted_each = [run(word, size).accepted for word in words]
+        rejected_each = [not run(word, size).accepted for word in words]
         t1 = perf_counter()
-        # tuple(map(word.index, word)) in O(n): the parent's pattern plus
-        # where symbol first occurs, len(prefix) if it is fresh
-        patterns = [prefix_pattern + (word.index(symbol),) for symbol, word in enumerate(words)]
-        for pattern, word in zip(patterns, words):
-            if pattern not in verdicts:
-                verdicts[pattern] = is_unique_trail(word)
-        unique_each = [verdicts[pattern] for pattern in patterns]
+        # a child's pattern is the parent's plus where its last symbol first
+        # occurs: each symbol of the prefix gives its own, and every fresh
+        # symbol len(prefix); the memo keeps the oracle's verdict negated
+        fresh_pattern = prefix_pattern + (len(prefix),)
+        firsts = dict(zip(prefix, prefix_pattern))
+        nonunique = None  # no child ends in a fresh symbol
+        if len(firsts) < size:
+            nonunique = verdicts.get(fresh_pattern)
+            if nonunique is None:
+                fresh = next(symbol for symbol in range(size) if symbol not in firsts)
+                nonunique = verdicts[fresh_pattern] = not is_unique_trail(words[fresh])
+        nonunique_each = [nonunique] * size
+        patterns = [fresh_pattern] * size
+        for symbol, first in firsts.items():
+            pattern = patterns[symbol] = prefix_pattern + (first,)
+            nonunique = verdicts.get(pattern)
+            if nonunique is None:
+                nonunique = verdicts[pattern] = not is_unique_trail(words[symbol])
+            nonunique_each[symbol] = nonunique
         t2 = perf_counter()
-        swappable_each = [has_proper_transposition(word) for word in words]
+        swappable_each = list(map(has_proper_transposition, words))
         t3 = perf_counter()
-        lives = [prefix_live.copy() for _ in words]
-        by_amended_each = [nfa_accepts(amended, single, live) for single, live in zip(singles, lives)]
+        # nothing reads the parent's live set after this, so the last child
+        # steps it in place
+        lives = [prefix_live.copy() for _ in range(size - 1)]
+        lives.append(prefix_live)
+        by_amended_each = list(map(nfa_accepts, repeat(amended), singles, lives))
         t4 = perf_counter()
         by_strict_each = [live.strict for live in lives]
         t5 = perf_counter()
@@ -103,16 +132,20 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
         spent_scan += t3 - t2
         spent_amended += t4 - t3
         spent_strict += t5 - t4
-        for word, accepted, unique, swappable, by_amended, by_strict in zip(
-            words, accepted_each, unique_each, swappable_each, by_amended_each, by_strict_each
-        ):
-            if not (accepted == unique == (not swappable) == (not by_amended)):
-                report.disagreements.append(
-                    (word, {"automaton": accepted, "oracle": unique,
-                            "transposition-scan": not swappable, "grammar-amended": not by_amended})
-                )
-            if by_strict != swappable:
-                (report.strict_unsound if by_strict else report.strict_gaps).append(word)
+        # every list holds "not unique": a node whose lists all agree is
+        # done; only a node with a mismatch is walked word by word
+        if not (rejected_each == nonunique_each == swappable_each == by_amended_each
+                and by_strict_each == swappable_each):
+            for word, rejected, nonunique, swappable, by_amended, by_strict in zip(
+                words, rejected_each, nonunique_each, swappable_each, by_amended_each, by_strict_each
+            ):
+                if not (rejected == nonunique == swappable == by_amended):
+                    report.disagreements.append(
+                        (word, {"automaton": not rejected, "oracle": not nonunique,
+                                "transposition-scan": not swappable, "grammar-amended": not by_amended})
+                    )
+                if by_strict != swappable:
+                    (report.strict_unsound if by_strict else report.strict_gaps).append(word)
         if len(prefix) + 1 < max_len:
             stack.extend(zip(words, patterns, lives))
     # back to the order of a length-major sweep, which the CLI prints

@@ -116,9 +116,9 @@ def has_proper_transposition(trail: Trail) -> bool:
     the last three symbols are ``a a a`` and both followers are ``a``.
     """
     n = len(trail)
-    last_seen = {symbol: idx for idx, symbol in enumerate(trail)}
-    if len(last_seen) >= n - 1:
+    if len(set(trail)) >= n - 1:
         return False
+    last_seen = {symbol: idx for idx, symbol in enumerate(trail)}
     for i in range(n - 3):
         anchor = trail[i]
         follower = trail[i + 1]

@@ -201,6 +201,22 @@ def test_follower_chain_guard_trips_on_corrupt_state():
         advance(broken, (0,))
 
 
+@pytest.mark.parametrize("follower,message", [
+    # 0 -> 1 -> None: the walk from 0 leaves the vertex set
+    pytest.param([1, None, None, None], "latest-follower chain escapes the vertex set", id="escapes"),
+    # 0 -> 1 -> 2 -> 1: the walk from 0 circles without coming back
+    pytest.param([1, 2, 1, None], "latest-follower chain does not cycle back", id="cycles"),
+])
+def test_each_chain_walk_guard_raises_and_leaves_last_stored(follower, message):
+    # the first symbol moves last off the start marker with no walk; the
+    # second walks the corrupt chain from 0, so last must stay 0, the
+    # vertex fed before the step that raised
+    state = AutomatonState(last=3, follower=follower, black=[0, 0, 0])
+    with pytest.raises(RuntimeError, match=message):
+        advance(state, (0, 2))
+    assert state.last == 0
+
+
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=16))
 def test_follower_chain_from_last_vertex_cycles_back(symbols):
     # whenever the last vertex has a follower, chasing followers returns to

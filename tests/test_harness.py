@@ -112,3 +112,59 @@ def test_timings_name_every_classifier_in_order(capsys):
     assert main(["crosscheck", "--alphabet-size", "3", "--max-len", "3"]) == 0
     (line,) = [line for line in capsys.readouterr().err.splitlines() if line.startswith("timing: ")]
     assert [field.split("=")[0] for field in line.split()[1:]] == list(CLASSIFIERS)
+
+
+@pytest.mark.parametrize("size,max_len,calls", [
+    # one symbol: every prefix holds it, so no node has a fresh child
+    (1, 5, 5),
+    # two symbols: every prefix past 0 0 .. 0 holds both; 1+2+4+8+16+32
+    (2, 6, 63),
+    (3, 4, 1 + 2 + 5 + 14),
+])
+def test_the_oracle_runs_once_per_first_occurrence_pattern(size, max_len, calls, monkeypatch):
+    asked = []
+
+    def counting(word):
+        asked.append(word)
+        return is_unique_trail(word)
+
+    monkeypatch.setattr("unitrail.harness.is_unique_trail", counting)
+    report = cross_validate(size, max_len)
+    assert report.disagreements == []
+    assert len(asked) == len({tuple(map(word.index, word)) for word in asked}) == calls
+
+
+def test_a_node_is_walked_word_by_word_only_where_its_lists_differ(monkeypatch):
+    # a node's verdict lists are compared whole; a mismatch must still
+    # name exactly the faulty words, siblings included, in length-major
+    # order, however many of a node's words are faulty
+    clean_gaps = cross_validate(3, 4).strict_gaps
+    planted = {(0, 1, 0, 1), (0, 1, 0, 2), (2, 1)}
+
+    def faulty_run(word, size):
+        return Verdict(False, len(word)) if word in planted else run(word, size)
+
+    with monkeypatch.context() as patched:
+        patched.setattr("unitrail.harness.run", faulty_run)
+        report = cross_validate(3, 4)
+    assert [word for word, _ in report.disagreements] == [(2, 1), (0, 1, 0, 1), (0, 1, 0, 2)]
+    assert all(not verdicts["automaton"] and verdicts["oracle"] for _, verdicts in report.disagreements)
+    assert (report.strict_unsound, report.strict_gaps) == ([], clean_gaps)
+
+    # a strict fault on 0 1 0 2, the last child of 0 1 0, which steps the
+    # parent's own live set, beside the real gap 0 1 0 0 of the same node
+    assert (0, 1, 0, 0) in clean_gaps
+    parent = LiveSet()
+    nfa_accepts(build_grammar_nfa(3, "amended"), (0, 1, 0), parent)
+
+    def faulty_grammar(nfa, trail, live=None):
+        flip = trail == (2,) and live == parent
+        verdict = nfa_accepts(nfa, trail, live)
+        if flip:
+            live.strict = not live.strict
+        return verdict
+
+    monkeypatch.setattr("unitrail.harness.nfa_accepts", faulty_grammar)
+    report = cross_validate(3, 4)
+    assert report.disagreements == []
+    assert (report.strict_unsound, report.strict_gaps) == ([(0, 1, 0, 2)], clean_gaps)
