@@ -1,7 +1,7 @@
 """Streaming uniqueness checks for Eulerian trails of trail-induced multigraphs."""
 
 from .automaton import AutomatonState, Verdict, advance, init_state, run
-from .core import Alphabet, Trail, TrailParseError, chars_alphabet, parse_trail
+from .core import Trail, TrailParseError, chars_alphabet, parse_trail, render
 from .grammar import GrammarNFA, LiveSet, build_grammar_nfa, nfa_accepts
 from .harness import CrosscheckReport, cross_validate
 from .mfw import brute_mfw, constructive_mfw
@@ -17,7 +17,6 @@ from .transposition import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alphabet",
     "AutomatonState",
     "CrosscheckReport",
     "GrammarNFA",
@@ -40,6 +39,7 @@ __all__ = [
     "is_unique_trail",
     "nfa_accepts",
     "parse_trail",
+    "render",
     "run",
     "segments",
 ]

@@ -10,7 +10,9 @@ leaves every vertex black exactly when the vertex it enters is black, so
 the one loop that feeds symbols decides on that one colour and stops on
 the exact symbol that causes a rejection, without scanning the table.
 :func:`advance` runs that loop on a state; :func:`run` runs it on fresh
-lists, with no state object, and feeds a whole trail.
+lists, with no state object, and feeds a whole trail.  Its
+:class:`Verdict` holds the one fact the paper's automaton gives about a
+trail: the length of its shortest rejected prefix, or ``None``.
 
 A colour is stored as the step at which the vertex turned black, or ``0``
 while it is white; steps count the symbols consumed from the start of each
@@ -52,31 +54,20 @@ class AutomatonState:
         return f"AutomatonState(last={self.last!r}, follower={self.follower!r}, black={self.black!r})"
 
 
-class _VerdictFields(NamedTuple):
-    accepted: bool
-    first_rejection: int | None = None
-
-
-class Verdict(_VerdictFields):
+class Verdict(NamedTuple):
     """Outcome of feeding a whole trail through the machine.
 
-    ``first_rejection`` is the length of the shortest rejected prefix, so a
-    consumer can stop reading as soon as uniqueness is lost.
+    ``first_rejection`` is the length of the shortest rejected prefix, or
+    ``None`` when the whole trail is accepted, so a consumer can stop
+    reading as soon as uniqueness is lost.  It is the verdict's one field;
+    ``accepted`` is read off it.
     """
 
-    __slots__ = ()
+    first_rejection: int | None = None
 
-    def __new__(cls, accepted: bool, first_rejection: int | None = None):
-        if accepted != (first_rejection is None):
-            raise ValueError("accepted verdicts carry no rejection point and vice versa")
-        # straight to tuple: the namedtuple __new__ would be a second call
-        # on run's per-word path
-        return tuple.__new__(cls, (accepted, first_rejection))
-
-    @classmethod
-    def _make(cls, fields):
-        # _replace builds through _make; keep it on the checked path
-        return cls(*fields)
+    @property
+    def accepted(self) -> bool:
+        return self.first_rejection is None
 
 
 def init_state(size: int) -> AutomatonState:
@@ -158,7 +149,7 @@ def _feed(
 
 # An accepted verdict carries no data and a Verdict is immutable, so every
 # accepted run returns this one value instead of building its own.
-_ACCEPTED = Verdict(True)
+_ACCEPTED = Verdict()
 
 
 def run(trail: Trail, size: int) -> Verdict:
@@ -171,18 +162,15 @@ def run(trail: Trail, size: int) -> Verdict:
     the vertex it entered is black: phase 2 of the step blackens the whole
     table in that case, phases 3 and 4 change no colour, and a chain walk
     that blackens every vertex blackens the entered one too.  The empty
-    trail is accepted, even over an empty alphabet.  Every accepted run
-    returns the same shared ``Verdict(True)``; a rejected run builds its
-    own verdict.  A negative ``size`` raises ``ValueError``.
+    trail is accepted, even over an empty alphabet, over which any symbol
+    is out of range.  Every accepted run returns the same shared
+    ``Verdict()``; a rejected run builds its own.  A negative ``size``
+    raises ``ValueError``.
     """
-    if size < 1:
-        if size < 0:
-            raise ValueError("alphabet size must be at least 1")
-        if trail:
-            raise ValueError("nonempty trail over an empty alphabet")
-        return _ACCEPTED
+    if size < 0:
+        raise ValueError("alphabet size must be non-negative")
     # the lists init_state would build, and its start marker
     consumed = _feed([None] * (size + 1), [0] * size, size, trail)
     if consumed is None:
         return _ACCEPTED
-    return Verdict(False, consumed)
+    return Verdict(consumed)

@@ -14,7 +14,7 @@ import os
 import sys
 
 from .automaton import run
-from .core import Alphabet, TrailParseError, chars_alphabet, parse_trail
+from .core import TrailParseError, chars_alphabet, parse_trail, render
 from .harness import cross_validate
 from .mfw import brute_mfw, constructive_mfw
 from .oracle import enumerate_trails
@@ -88,14 +88,14 @@ def _lines(stream):
         yield from chunk.splitlines()
 
 
-def _witness(trail, rejected_at: int, alphabet: Alphabet, tokens: bool) -> dict:
+def _witness(trail, rejected_at: int, names: tuple[str, ...], tokens: bool) -> dict:
     """A proper site of the shortest rejected prefix, shown on the whole line."""
     site = find_proper_site(trail[:rejected_at])
     i, p, j, q = site
     data = {"site": f"one_anchor({i},{j},{q})" if p == j else f"two_anchors({i},{p},{j},{q})"}
     for key, part in segments(trail, site).items():
-        data[key] = alphabet.render(part, tokens)
-    data["alt"] = alphabet.render(apply_transposition(trail, site), tokens)
+        data[key] = render(names, part, tokens)
+    data["alt"] = render(names, apply_transposition(trail, site), tokens)
     return data
 
 
@@ -115,24 +115,24 @@ def cmd_check(args) -> int:
             except UnicodeEncodeError:
                 return _usage_error(f"line {lineno}: undecodable bytes")
             try:
-                trail, alphabet = parse_trail(raw.strip(), tokens=args.tokens)
-                if args.alphabet_size is not None and alphabet.size > args.alphabet_size:
+                trail, names = parse_trail(raw.strip(), tokens=args.tokens)
+                if args.alphabet_size is not None and len(names) > args.alphabet_size:
                     raise TrailParseError(
-                        f"{alphabet.size} distinct symbols exceed --alphabet-size {args.alphabet_size}"
+                        f"{len(names)} distinct symbols exceed --alphabet-size {args.alphabet_size}"
                     )
             except TrailParseError as exc:
                 return _usage_error(f"line {lineno}: {exc}")
             # the automaton runs over the line's own symbols, so the
             # verdict, the rejection and the witness are the same at any
             # --alphabet-size
-            verdict = run(trail, alphabet.size)
+            verdict = run(trail, len(names))
             report = {
                 "index": lineno - 1,
                 "verdict": "UNIQUE" if verdict.accepted else "NONUNIQUE",
                 "first_rejection": verdict.first_rejection,
             }
             if args.explain and not verdict.accepted:
-                report["witness"] = _witness(trail, verdict.first_rejection, alphabet, args.tokens)
+                report["witness"] = _witness(trail, verdict.first_rejection, names, args.tokens)
             if args.json:
                 print(json.dumps(report), flush=True)
             else:
@@ -151,12 +151,12 @@ def cmd_trails(args) -> int:
     if args.limit is not None and args.limit < 1:
         return _usage_error("--limit must be at least 1")
     try:
-        trail, alphabet = parse_trail(args.sequence.strip(), tokens=args.tokens)
+        trail, names = parse_trail(args.sequence.strip(), tokens=args.tokens)
         trails = enumerate_trails(trail)  # checks the trail before the search
     except ValueError as exc:
         return _usage_error(str(exc))
     for found in itertools.islice(trails, args.limit):
-        print(alphabet.render(found, args.tokens), flush=True)
+        print(render(names, found, args.tokens), flush=True)
     return EXIT_OK
 
 
@@ -166,7 +166,7 @@ def cmd_mfw(args) -> int:
     if args.max_len < 0:
         return _usage_error("--max-len must be non-negative")
     try:
-        alphabet = chars_alphabet(args.alphabet_size)
+        names = chars_alphabet(args.alphabet_size)
     except ValueError as exc:
         return _usage_error(str(exc))
     if args.method == "constructive":
@@ -180,13 +180,13 @@ def cmd_mfw(args) -> int:
             only_built = sorted(set(built) - set(scanned))
             only_scanned = sorted(set(scanned) - set(built))
             for word in only_built:
-                print(f"only-constructive\t{alphabet.render(word)}")
+                print(f"only-constructive\t{render(names, word)}")
             for word in only_scanned:
-                print(f"only-brute\t{alphabet.render(word)}")
+                print(f"only-brute\t{render(names, word)}")
             return EXIT_MISMATCH
         words = built
     for word in words:
-        print(alphabet.render(word))
+        print(render(names, word))
     return EXIT_OK
 
 
@@ -197,28 +197,28 @@ def cmd_crosscheck(args) -> int:
         return _usage_error("--max-len must be non-negative")
     report = cross_validate(args.alphabet_size, args.max_len)
     try:
-        render = chars_alphabet(args.alphabet_size).render
+        names, tokens = chars_alphabet(args.alphabet_size), False
     except ValueError:
-        def render(word):
-            return " ".join(str(s) for s in word)
+        # more symbols than single-character names: show the ids as tokens
+        names, tokens = tuple(map(str, range(args.alphabet_size))), True
     print(f"checked {report.checked} strings over alphabet size {report.alphabet_size}, lengths 1..{report.max_len}")
     if report.disagreements:
         print(f"four-way agreement: FAILED ({len(report.disagreements)} disagreements)")
         for word, verdicts in report.disagreements[:_GAPS_SHOWN]:
             detail = " ".join(f"{name}={value}" for name, value in verdicts.items())
-            print(f"  disagree {render(word)}: {detail}")
+            print(f"  disagree {render(names, word, tokens)}: {detail}")
     else:
         print("four-way agreement: ok")
     if report.strict_unsound:
         print(f"strict grammar soundness: FAILED ({len(report.strict_unsound)} violations)")
         for word in report.strict_unsound[:_GAPS_SHOWN]:
-            print(f"  unsound {render(word)}")
+            print(f"  unsound {render(names, word, tokens)}")
     else:
         print("strict grammar soundness: ok")
     print(f"strict grammar completeness gaps: {len(report.strict_gaps)}")
     if args.grammar == "strict":
         for word in report.strict_gaps[:_GAPS_SHOWN]:
-            print(f"  gap {render(word)}")
+            print(f"  gap {render(names, word, tokens)}")
         if len(report.strict_gaps) > _GAPS_SHOWN:
             print(f"  ... {len(report.strict_gaps) - _GAPS_SHOWN} more")
     elif report.strict_gaps:

@@ -38,9 +38,9 @@ of those per-node batches.  Each slot holds:
 * ``grammar-amended``: copying the parent's live set for every child
   but the last, which takes the parent's own, since nothing reads it
   afterwards (a factored :class:`~unitrail.grammar.LiveSet`, so four
-  small dict and set copies each), and one step per string;
-* ``grammar-strict``: only the read of its verdict off each stepped
-  live set; it keeps its name, one of :data:`CLASSIFIERS`.
+  small dict and set copies each), one step per string, and the read of
+  the strict verdict off each stepped live set, which has no slot of
+  its own since the step already computed it.
 
 The node's verdict lists are then compared as whole lists, and the
 strict list against the scan list; a node is walked string by string
@@ -55,7 +55,7 @@ from .grammar import LiveSet, build_grammar_nfa, nfa_accepts
 from .oracle import is_unique_trail
 from .transposition import has_proper_transposition
 
-CLASSIFIERS = ("automaton", "oracle", "transposition-scan", "grammar-amended", "grammar-strict")
+CLASSIFIERS = ("automaton", "oracle", "transposition-scan", "grammar-amended")
 
 
 class CrosscheckReport:
@@ -81,7 +81,7 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     report = CrosscheckReport(size, max_len)
     # each string is its parent plus one of these; built once per sweep
     singles = [(symbol,) for symbol in range(size)]
-    spent_automaton = spent_oracle = spent_scan = spent_amended = spent_strict = 0.0
+    spent_automaton = spent_oracle = spent_scan = spent_amended = 0.0
     # first-occurrence pattern -> whether the first word with that
     # pattern is not its graph's unique trail, by the oracle
     verdicts: dict[tuple, bool] = {}
@@ -95,7 +95,7 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
         report.checked += size
         words = [prefix + single for single in singles]
         t0 = perf_counter()
-        rejected_each = [not run(word, size).accepted for word in words]
+        rejected_each = [run(word, size).first_rejection is not None for word in words]
         t1 = perf_counter()
         # a child's pattern is the parent's plus where its last symbol first
         # occurs: each symbol of the prefix gives its own, and every fresh
@@ -124,14 +124,12 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
         lives = [prefix_live.copy() for _ in range(size - 1)]
         lives.append(prefix_live)
         by_amended_each = list(map(nfa_accepts, repeat(amended), singles, lives))
-        t4 = perf_counter()
         by_strict_each = [live.strict for live in lives]
-        t5 = perf_counter()
+        t4 = perf_counter()
         spent_automaton += t1 - t0
         spent_oracle += t2 - t1
         spent_scan += t3 - t2
         spent_amended += t4 - t3
-        spent_strict += t5 - t4
         # every list holds "not unique": a node whose lists all agree is
         # done; only a node with a mismatch is walked word by word
         if not (rejected_each == nonunique_each == swappable_each == by_amended_each
@@ -152,5 +150,5 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     report.disagreements.sort(key=lambda found: (len(found[0]), found[0]))
     report.strict_unsound.sort(key=lambda word: (len(word), word))
     report.strict_gaps.sort(key=lambda word: (len(word), word))
-    report.timings = dict(zip(CLASSIFIERS, (spent_automaton, spent_oracle, spent_scan, spent_amended, spent_strict)))
+    report.timings = dict(zip(CLASSIFIERS, (spent_automaton, spent_oracle, spent_scan, spent_amended)))
     return report

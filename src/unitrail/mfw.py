@@ -42,7 +42,7 @@ def _extend(level: list[Trail], symbols: Iterable[int], size: int) -> tuple[list
     for word in level:
         for symbol in symbols:
             grown = word + (symbol,)
-            (accepted if run(grown, size).accepted else rejected).append(grown)
+            (accepted if run(grown, size).first_rejection is None else rejected).append(grown)
     return accepted, rejected
 
 

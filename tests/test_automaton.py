@@ -112,10 +112,10 @@ def test_advance_stops_at_a_bad_symbol_mid_trail():
 
 
 def test_run_examples():
-    assert run((0, 1, 0, 1, 0, 1), 2) == Verdict(True)
-    assert run((), 0) == Verdict(True)
-    assert run((), 5) == Verdict(True)
-    assert run((0, 0, 1, 0), 2) == Verdict(False, 4)
+    assert run((0, 1, 0, 1, 0, 1), 2) == Verdict()
+    assert run((), 0) == Verdict()
+    assert run((), 5) == Verdict()
+    assert run((0, 0, 1, 0), 2) == Verdict(4)
 
 
 def test_run_rejects_symbols_beyond_alphabet():
@@ -131,15 +131,8 @@ def test_run_rejects_symbols_beyond_alphabet():
 def test_every_accepted_run_returns_one_shared_verdict():
     accepted = run((0, 1), 2)
     assert accepted is run((2,), 3) is run((), 0)
-    assert accepted == Verdict(True)
+    assert accepted == Verdict()
     assert run((0, 0, 1, 0), 2) is not run((0, 0, 1, 0), 2)
-
-
-def test_verdict_consistency_enforced():
-    with pytest.raises(ValueError):
-        Verdict(True, 3)
-    with pytest.raises(ValueError):
-        Verdict(False, None)
 
 
 # calls of one to four symbols, so that steps differ between and within calls
@@ -309,7 +302,7 @@ def test_doubled_trail_is_accepted_in_linear_time():
     begin = time.perf_counter()
     verdict = run(trail, size)
     elapsed = time.perf_counter() - begin
-    assert verdict == Verdict(True)
+    assert verdict == Verdict()
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 

@@ -422,14 +422,12 @@ def test_mfw_methods_match_both(monkeypatch, capsys):
 
 def test_mfw_disagreement_prints_difference_and_exits_2(monkeypatch, capsys):
     # force the generators apart; the real ones agree
-    monkeypatch.setattr("unitrail.cli.constructive_mfw", lambda size, max_len: [(0, 0, 1, 0)])
+    monkeypatch.setattr("unitrail.cli.constructive_mfw", lambda size, max_len: [(0, 0, 1, 0), (1, 1, 1, 1)])
     code, out, _ = run_cli(
         ["mfw", "--alphabet-size", "2", "--max-len", "4"], monkeypatch, capsys
     )
     assert code == EXIT_MISMATCH
-    lines = out.splitlines()
-    assert "only-brute\t0100" in lines
-    assert all(line.startswith(("only-brute", "only-constructive")) for line in lines)
+    assert out.splitlines() == ["only-constructive\t1111", "only-brute\t0100", "only-brute\t1011", "only-brute\t1101"]
 
 
 def test_crosscheck_disagreement_exits_2(monkeypatch, capsys):
@@ -438,21 +436,49 @@ def test_crosscheck_disagreement_exits_2(monkeypatch, capsys):
     fake.disagreements.append(
         ((0, 0, 1, 0), {"automaton": True, "oracle": False})
     )
+    fake.strict_unsound.append((0, 1, 0, 0))
     fake.timings = {"automaton": 0.0}
     monkeypatch.setattr("unitrail.cli.cross_validate", lambda size, max_len: fake)
     code, out, _ = run_cli(
         ["crosscheck", "--alphabet-size", "2", "--max-len", "4"], monkeypatch, capsys
     )
     assert code == EXIT_MISMATCH
-    assert "four-way agreement: FAILED (1 disagreements)" in out
-    assert "  disagree 0010: automaton=True oracle=False" in out
+    assert out.splitlines() == [
+        "checked 30 strings over alphabet size 2, lengths 1..4",
+        "four-way agreement: FAILED (1 disagreements)",
+        "  disagree 0010: automaton=True oracle=False",
+        "strict grammar soundness: FAILED (1 violations)",
+        "  unsound 0100",
+        "strict grammar completeness gaps: 0",
+    ]
+
+
+def test_crosscheck_disagreement_beyond_the_character_names_prints_tokens(monkeypatch, capsys):
+    # above 62 symbols a word is printed as its ids, space-separated
+    fake = CrosscheckReport(64, 3)
+    fake.checked = 266_304
+    fake.disagreements.append(((0, 63, 0), {"automaton": True, "oracle": False}))
+    monkeypatch.setattr("unitrail.cli.cross_validate", lambda size, max_len: fake)
+    code, out, _ = run_cli(
+        ["crosscheck", "--alphabet-size", "64", "--max-len", "3"], monkeypatch, capsys
+    )
+    assert code == EXIT_MISMATCH
+    assert "  disagree 0 63 0: automaton=True oracle=False" in out.splitlines()
 
 
 def test_mfw_invalid_bounds(monkeypatch, capsys):
-    code, _, _ = run_cli(["mfw", "--alphabet-size", "0", "--max-len", "4"], monkeypatch, capsys)
-    assert code == EXIT_USAGE
-    code, _, _ = run_cli(["mfw", "--alphabet-size", "2", "--max-len", "-1"], monkeypatch, capsys)
-    assert code == EXIT_USAGE
+    # every command's out-of-range bound exits 64 with nothing on stdout
+    for argv, message in (
+        (["mfw", "--alphabet-size", "0", "--max-len", "4"], "--alphabet-size must be at least 1"),
+        (["mfw", "--alphabet-size", "2", "--max-len", "-1"], "--max-len must be non-negative"),
+        (["mfw", "--alphabet-size", "63", "--max-len", "4"], "chars mode supports at most 62 symbols"),
+        (["check", "--alphabet-size", "0"], "--alphabet-size must be at least 1"),
+        (["trails", "aba", "--limit", "0"], "--limit must be at least 1"),
+        (["crosscheck", "--alphabet-size", "0", "--max-len", "2"], "--alphabet-size must be at least 1"),
+        (["crosscheck", "--alphabet-size", "2", "--max-len", "-1"], "--max-len must be non-negative"),
+    ):
+        code, out, err = run_cli(argv, monkeypatch, capsys, stdin="aba\n")
+        assert (code, out, err) == (EXIT_USAGE, "", f"unitrail: error: {message}\n"), argv
 
 
 def test_crosscheck_binary_agrees(monkeypatch, capsys):

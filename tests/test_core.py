@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unitrail.core import Alphabet, TrailParseError, chars_alphabet, parse_trail
+from unitrail.core import TrailParseError, chars_alphabet, parse_trail, render
 from unitrail.oracle import enumerate_trails
 
 from reference import arcs
@@ -13,21 +13,23 @@ trails = st.lists(st.integers(0, 3), max_size=12).map(tuple)
 
 
 def test_parse_chars_first_appearance():
-    trail, alphabet = parse_trail("abab")
+    trail, names = parse_trail("abab")
     assert trail == (0, 1, 0, 1)
-    assert alphabet.names == ("a", "b")
+    assert names == ("a", "b")
+    assert render(names, trail) == "abab"
 
 
 def test_parse_empty_input():
-    trail, alphabet = parse_trail("")
+    trail, names = parse_trail("")
     assert trail == ()
-    assert alphabet.size == 0
+    assert names == ()
 
 
 def test_parse_tokens():
-    trail, alphabet = parse_trail("0 10 0", tokens=True)
+    trail, names = parse_trail("0 10 0", tokens=True)
     assert trail == (0, 1, 0)
-    assert alphabet.names == ("0", "10")
+    assert names == ("0", "10")
+    assert render(names, trail, tokens=True) == "0 10 0"
 
 
 def test_parse_chars_rejects_inner_whitespace():
@@ -50,11 +52,12 @@ def test_parse_chars_rejects_every_whitespace_code_point_anywhere(space):
 
 
 def test_alphabet_validation():
-    with pytest.raises(ValueError):
-        Alphabet(2, ("a", "a"))
-    with pytest.raises(ValueError):
-        Alphabet(2, ("a",))
-    assert chars_alphabet(3).names == ("0", "1", "2")
+    assert chars_alphabet(3) == ("0", "1", "2")
+    assert render(chars_alphabet(36), (35, 0, 10)) == "z0a"
+    assert len(chars_alphabet(62)) == 62
+    for size in (-1, 63):
+        with pytest.raises(ValueError):
+            chars_alphabet(size)
 
 
 # The graph a trail induces is the multiset of its consecutive pairs; the

@@ -71,7 +71,7 @@ def test_no_classifier_under_test_is_shared_across_a_class(classifier, mode, mon
     target = (0, 1, 0, 1)
     if classifier is run:
         def faulty(word, size):
-            return Verdict(False, 4) if word == target else run(word, size)
+            return Verdict(4) if word == target else run(word, size)
     elif classifier is has_proper_transposition:
         def faulty(word):
             return has_proper_transposition(word) != (word == target)
@@ -103,6 +103,11 @@ def test_no_classifier_under_test_is_shared_across_a_class(classifier, mode, mon
         assert [word for word, _ in report.disagreements] == [target]
     if mode == "amended":
         assert (report.strict_unsound, report.strict_gaps) == ([], clean_gaps)
+
+
+def test_an_empty_alphabet_is_refused():
+    with pytest.raises(ValueError, match="alphabet size must be at least 1"):
+        cross_validate(0, 2)
 
 
 def test_timings_name_every_classifier_in_order(capsys):
@@ -142,7 +147,7 @@ def test_a_node_is_walked_word_by_word_only_where_its_lists_differ(monkeypatch):
     planted = {(0, 1, 0, 1), (0, 1, 0, 2), (2, 1)}
 
     def faulty_run(word, size):
-        return Verdict(False, len(word)) if word in planted else run(word, size)
+        return Verdict(len(word)) if word in planted else run(word, size)
 
     with monkeypatch.context() as patched:
         patched.setattr("unitrail.harness.run", faulty_run)

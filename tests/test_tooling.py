@@ -27,7 +27,8 @@ def test_every_layer_the_benchmark_tracer_wraps_exists():
 
 
 def traced_calls(argv):
-    """Run one command under the benchmark tracer; return its call counts."""
+    """Run one command under the benchmark tracer; return its call counts
+    and its per-layer metrics."""
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     done = subprocess.run(
@@ -36,7 +37,7 @@ def traced_calls(argv):
     )
     traced = json.loads(done.stdout)
     assert traced["exit"] == 0
-    return traced["calls"]
+    return traced["calls"], traced["layers"]
 
 
 def test_traced_mfw_calls_every_layer_its_workload_requires():
@@ -47,7 +48,7 @@ def test_traced_mfw_calls_every_layer_its_workload_requires():
         ("both", ("automaton.run", "mfw.brute_mfw", "mfw.constructive_mfw")),
         ("brute", ("automaton.run", "mfw.brute_mfw")),
     ):
-        calls = traced_calls([*argv, "--method", method])
+        calls, _ = traced_calls([*argv, "--method", method])
         for layer in layers:
             assert calls.get(layer, 0) >= 1, (method, layer)
 
@@ -62,16 +63,28 @@ def test_traced_check_calls_every_layer_its_workloads_require(tmp_path):
     stream = ("core.parse_trail", "automaton.run")
     explain = stream + ("transposition.find_proper_site", "transposition.apply_transposition")
     for extra, layers in (((), stream), (("--explain",), explain)):
-        calls = traced_calls([*argv, *extra])
+        calls, _ = traced_calls([*argv, *extra])
         for layer in layers:
             assert calls.get(layer, 0) >= 1, (extra, layer)
+
+
+def test_traced_check_counts_parsed_and_consumed_symbols(tmp_path):
+    # the tracer counts a run's consumed symbols off the verdict's
+    # first_rejection; a verdict without it would count every parsed
+    # symbol as consumed: a a b a is rejected at 4 of its 6 symbols
+    lines = tmp_path / "lines.txt"
+    lines.write_text("a a b a b b\nx y x y\n", encoding="utf-8")
+    _, layers = traced_calls(["check", "--tokens", str(lines)])
+    assert layers["core.symbols_parsed"] == 10
+    assert layers["automaton.symbols_consumed"] == 8
+    assert layers["automaton.runs"] == 2
 
 
 def test_traced_crosscheck_calls_every_layer_its_workload_requires():
     # the crosscheck workload needs the harness span and every classifier
     # it times inside it, plus the grammar build; a sweep that stops
     # calling one of those names would fail only when the benchmark runs
-    calls = traced_calls(["crosscheck", "--alphabet-size", "3", "--max-len", "3", "--grammar", "strict"])
+    calls, _ = traced_calls(["crosscheck", "--alphabet-size", "3", "--max-len", "3", "--grammar", "strict"])
     for layer in (
         "harness.cross_validate",
         "automaton.run",
