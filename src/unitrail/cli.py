@@ -1,5 +1,13 @@
 """Command-line interface: check, trails, mfw, crosscheck.
 
+One table, ``COMMANDS``, gives each subcommand its handler, positionals
+and options; ``parse_args`` reads a command line against it and
+``-h``/``--help`` is rendered from it.  An option's value may follow as
+the next word (taken verbatim, so ``--max-len -1`` reaches the handler)
+or as ``--opt=value``; options and positionals come in any order, ``--``
+ends the options, and a repeated option keeps its last value.  Options
+are spelled out in full: a prefix of one is unknown.
+
 Exit codes: 0 for success (including NONUNIQUE verdicts), 1 when the
 reader closes stdout before the output ends, 2 when two classifiers that
 must agree do not, 64 for usage or input parse errors.
@@ -7,11 +15,11 @@ All stdout output is deterministic for a given input and flag set; the
 crosscheck timing summary goes to stderr.
 """
 
-import argparse
 import contextlib
 import itertools
 import os
 import sys
+from types import SimpleNamespace
 
 from .automaton import run
 from .core import TrailParseError, chars_alphabet, parse_trail, render
@@ -28,50 +36,17 @@ EXIT_USAGE = 64
 _GAPS_SHOWN = 10
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _usage_error(message: str) -> int:
     print(f"unitrail: error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="unitrail", description="Decide whether sequences are unique Eulerian trails of their induced multigraphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="classify one sequence per input line")
-    check.add_argument("path", nargs="?", default="-", help="input file, or - for stdin")
-    check.add_argument("--tokens", action="store_true", help="whitespace-separated symbols instead of one character each")
-    check.add_argument("--alphabet-size", type=int, metavar="M", help="allow at most M distinct symbols per line; more is an error")
-    check.add_argument("--explain", action="store_true", help="attach a transposition witness to NONUNIQUE lines")
-    check.add_argument("--json", action="store_true", help="one JSON object per line")
-
-    trails = sub.add_parser("trails", help="list all Eulerian trails of a sequence's graph")
-    trails.add_argument("sequence", help="the defining sequence")
-    trails.add_argument("--tokens", action="store_true")
-    trails.add_argument("--limit", type=int, metavar="N", help="stop after N trails")
-
-    mfw = sub.add_parser("mfw", help="emit minimal forbidden words")
-    mfw.add_argument("--alphabet-size", type=int, required=True, metavar="M")
-    mfw.add_argument("--max-len", type=int, required=True, metavar="L")
-    mfw.add_argument("--method", choices=("constructive", "brute", "both"), default="both")
-
-    cross = sub.add_parser("crosscheck", help="exhaustively cross-validate all classifiers")
-    cross.add_argument("--alphabet-size", type=int, required=True, metavar="M")
-    cross.add_argument("--max-len", type=int, required=True, metavar="L")
-    cross.add_argument("--grammar", choices=("strict", "amended"), default="amended",
-                       help="list the completeness gaps of this grammar variant in detail")
-    return parser
 
 
 def _open_input(path: str):
     """The input as a text stream in which undecodable bytes become lone
     surrogates, so ``check`` can reject them with a line number."""
     if path == "-":
+        if sys.stdin is None:  # started with stdin closed, as `<&-` does
+            raise OSError("standard input is closed")
         if hasattr(sys.stdin, "reconfigure"):
             sys.stdin.reconfigure(errors="surrogateescape")
         return contextlib.nullcontext(sys.stdin)
@@ -155,7 +130,10 @@ def cmd_trails(args) -> int:
         trails = enumerate_trails(trail)  # checks the trail before the search
     except ValueError as exc:
         return _usage_error(str(exc))
-    for found in itertools.islice(trails, args.limit):
+    if args.limit is not None:
+        # islice takes no stop above sys.maxsize; no search gets that far
+        trails = itertools.islice(trails, min(args.limit, sys.maxsize))
+    for found in trails:
         print(render(names, found, args.tokens), flush=True)
     return EXIT_OK
 
@@ -231,15 +209,143 @@ def cmd_crosscheck(args) -> int:
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
+_REQUIRED = object()  # the default of an argument the command line must give
+
+# Each subcommand: its handler, its one-line help, its positionals and its
+# options.  A positional is (name, default, help); an option is
+# (flag, kind, default, help), where kind is None for a switch, a metavar
+# such as "N" for an integer, or a tuple of choices.
+COMMANDS = {
+    "check": (cmd_check, "classify one sequence per input line", [
+        ("path", "-", "input file, or - for stdin (the default)"),
+    ], [
+        ("--tokens", None, False, "whitespace-separated symbols instead of one character each"),
+        ("--alphabet-size", "M", None, "allow at most M distinct symbols per line; more is an error"),
+        ("--explain", None, False, "attach a transposition witness to NONUNIQUE lines"),
+        ("--json", None, False, "one JSON object per line"),
+    ]),
+    "trails": (cmd_trails, "list all Eulerian trails of a sequence's graph", [
+        ("sequence", _REQUIRED, "the defining sequence"),
+    ], [
+        ("--tokens", None, False, "whitespace-separated symbols instead of one character each"),
+        ("--limit", "N", None, "stop after N trails"),
+    ]),
+    "mfw": (cmd_mfw, "emit minimal forbidden words", [], [
+        ("--alphabet-size", "M", _REQUIRED, "the number of symbols"),
+        ("--max-len", "L", _REQUIRED, "the longest word length"),
+        ("--method", ("constructive", "brute", "both"), "both", "the generator to run; both (the default) runs the two and compares"),
+    ]),
+    "crosscheck": (cmd_crosscheck, "exhaustively cross-validate all classifiers", [], [
+        ("--alphabet-size", "M", _REQUIRED, "the number of symbols"),
+        ("--max-len", "L", _REQUIRED, "the longest string length"),
+        ("--grammar", ("strict", "amended"), "amended", "list the completeness gaps of this grammar variant in detail (default: amended)"),
+    ]),
+}
+
+
+def _metavar(kind) -> str:
+    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: unitrail [-h] {" + ",".join(COMMANDS) + "} ..."
+    _, _, positionals, options = COMMANDS[command]
+    words = ["usage: unitrail", command, "[-h]"]
+    for flag, kind, default, _ in options:
+        word = flag if kind is None else f"{flag} {_metavar(kind)}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    words += [name if default is _REQUIRED else f"[{name}]" for name, default, _ in positionals]
+    return " ".join(words)
+
+
+def _help(command) -> str:
+    if command is None:
+        about = "Decide whether sequences are unique Eulerian trails of their induced multigraphs."
+        rows = [(name, spec[1]) for name, spec in COMMANDS.items()]
+    else:
+        _, about, positionals, options = COMMANDS[command]
+        rows = [(name, text) for name, _, text in positionals]
+        rows += [(flag if kind is None else f"{flag} {_metavar(kind)}", text) for flag, kind, _, text in options]
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join([_usage(command), "", about, "", *(f"  {name:<{width}}{text}" for name, text in rows)])
+
+
+def _option_value(command, flag: str, kind, value: str):
+    if isinstance(kind, tuple):
+        if value not in kind:
+            _parse_error(command, f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        _parse_error(command, f"argument {flag}: invalid int value: {value!r}")
+
+
+def _parse_error(command, message: str):
+    print(_usage(command), file=sys.stderr)
+    raise SystemExit(_usage_error(message))
+
+
+def parse_args(argv):
+    """The command line as a namespace: ``command``, then one attribute per
+    positional and option of that command, holding its default when the
+    line leaves it out.  ``-h`` or ``--help`` prints the help and exits 0;
+    a malformed line prints the usage and an error to stderr and exits 64."""
+    if argv and argv[0] in ("-h", "--help"):
+        print(_help(None))
+        raise SystemExit(EXIT_OK)
+    if not argv:
+        _parse_error(None, "the following arguments are required: command")
+    command = argv[0]
+    if command not in COMMANDS:
+        _parse_error(None, f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    _, _, positionals, options = COMMANDS[command]
+    kinds = {flag: kind for flag, kind, _, _ in options}
+    given, words = {}, []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg == "--":
+            words += rest
+        elif arg in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(EXIT_OK)
+        elif not arg.startswith("--"):
+            words.append(arg)
+        else:
+            flag, has_value, value = arg.partition("=")
+            if flag not in kinds:
+                _parse_error(command, f"unrecognized arguments: {arg}")
+            kind = kinds[flag]
+            if kind is None:
+                if has_value:
+                    _parse_error(command, f"argument {flag}: ignored explicit argument {value!r}")
+                value = True
+            else:
+                if not has_value:  # the next word, taken verbatim: `--max-len -1`
+                    value = next(rest, None)
+                    if value is None:
+                        _parse_error(command, f"argument {flag}: expected one argument")
+                value = _option_value(command, flag, kind, value)
+            given[flag] = value
+    if len(words) > len(positionals):
+        _parse_error(command, f"unrecognized arguments: {' '.join(words[len(positionals):])}")
+    missing = [flag for flag, _, default, _ in options if default is _REQUIRED and flag not in given]
+    missing += [name for name, default, _ in positionals[len(words):] if default is _REQUIRED]
+    if missing:
+        _parse_error(command, f"the following arguments are required: {', '.join(missing)}")
+    namespace = {"command": command}
+    for (name, default, _), value in itertools.zip_longest(positionals, words):
+        namespace[name] = default if value is None else value
+    for flag, _, default, _ in options:
+        namespace[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**namespace)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "check": cmd_check,
-        "trails": cmd_trails,
-        "mfw": cmd_mfw,
-        "crosscheck": cmd_crosscheck,
-    }[args.command]
-    return handler(args)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    return COMMANDS[args.command][0](args)
 
 
 def entry() -> None:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import select
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import unitrail
-from unitrail.cli import EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
+from unitrail.cli import COMMANDS, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main, parse_args
 from unitrail.harness import CrosscheckReport
 
 
@@ -155,6 +156,15 @@ def test_check_missing_file_is_a_usage_error(monkeypatch, capsys):
     code, _, err = run_cli(["check", "/nonexistent/path"], monkeypatch, capsys)
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+def test_check_with_stdin_closed_is_a_usage_error(monkeypatch, capsys):
+    # a process started with `<&-` has no sys.stdin at all
+    monkeypatch.setattr("sys.stdin", None)
+    code = main(["check"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.startswith("unitrail: error: ")
 
 
 def test_check_alphabet_size_cap(monkeypatch, capsys):
@@ -344,6 +354,11 @@ def test_trails_limit(monkeypatch, capsys):
     code, out, _ = run_cli(["trails", "0010", "--limit", "1"], monkeypatch, capsys)
     assert code == EXIT_OK
     assert out.splitlines() == ["0010"]
+
+
+def test_trails_limit_beyond_sys_maxsize_prints_every_trail(monkeypatch, capsys):
+    code, out, err = run_cli(["trails", "0010", "--limit", str(10**30)], monkeypatch, capsys)
+    assert (code, out, err) == (EXIT_OK, "0010\n0100\n", "")
 
 
 def test_trails_unique_input_yields_one_line(monkeypatch, capsys):
@@ -563,7 +578,71 @@ def test_missing_subcommand_exits_64(monkeypatch, capsys):
     assert info.value.code == EXIT_USAGE
 
 
-def test_import_loads_no_dataclasses_inspect_or_json():
+def parse_exit(argv, capsys):
+    """The exit code, stdout and stderr of a command line that stops in
+    the parser."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+def test_the_parser_reads_the_command_table(monkeypatch, capsys):
+    # a malformed line exits 64 with nothing on stdout, and its stderr
+    # error line names the argument at fault
+    for argv, named in (
+        (["check", "--bogus"], "--bogus"),                # unknown option
+        (["check", "--alpha", "3"], "--alpha"),           # a prefix is no abbreviation
+        (["mfw", "--alphabet-size", "2"], "--max-len"),   # missing required option
+        (["trails"], "sequence"),                         # missing positional
+        (["trails", "0010", "--limit", "x"], "--limit"),  # not an integer
+        (["mfw", "--alphabet-size", "2", "--max-len", "4", "--method", "fast"], "--method"),
+        (["trails", "0010", "0100"], "0100"),             # extra positional
+        (["trails", "0010", "--limit"], "--limit"),       # option with no value
+        (["check", "--json=1"], "--json"),                # switch given a value
+        ([], "command"),                                  # no subcommand
+        (["frob"], "frob"),                               # unknown subcommand
+    ):
+        code, out, err = parse_exit(argv, capsys)
+        usage, error = err.splitlines()
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert usage.startswith("usage: unitrail"), argv
+        assert error.startswith("unitrail: error: ") and named in error, argv
+    # accepted spellings
+    for argv, printed in (
+        (["mfw", "--alphabet-size=2", "--max-len=4"], "0010\n0100\n1011\n1101\n"),
+        (["trails", "0010", "--limit", "1"], "0010\n"),             # option after a positional
+        (["trails", "--", "--0"], "--0\n"),                          # `--` ends the options
+        (["trails", "0010", "--limit", "2", "--limit", "1"], "0010\n"),  # the last one wins
+    ):
+        assert run_cli(argv, monkeypatch, capsys) == (EXIT_OK, printed, ""), argv
+    # -h lists every command, and each command's -h every argument
+    code, out, _ = parse_exit(["-h"], capsys)
+    assert code == EXIT_OK and all(name in out for name in COMMANDS)
+    for name, (_, _, positionals, options) in COMMANDS.items():
+        code, out, err = parse_exit([name, "-h"], capsys)
+        assert (code, err) == (EXIT_OK, ""), name
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        assert listed == [*(arg[0] for arg in positionals), *(opt[0] for opt in options), "-h,"], name
+
+
+def test_every_readme_cli_line_parses():
+    # each `unitrail ...` line of the README's CLI block is a command line
+    # the parser accepts, so the docs cannot drift from the table
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = text.index("```sh\n", text.index("## CLI")) + len("```sh\n")
+    parsed = 0
+    for line in text[start : text.index("```", start)].splitlines():
+        words = shlex.split(line, comments=True)
+        if "unitrail" not in words:
+            continue
+        argv = list(itertools.takewhile(lambda word: word not in ("<", ">", "|"), words[words.index("unitrail") + 1 :]))
+        assert parse_args(argv).command == argv[0], line
+        parsed += 1
+    assert parsed == 10
+
+
+def test_import_loads_no_dataclasses_inspect_json_argparse_gettext_or_locale():
     # start-up cost: these modules take a large share of the time to the
     # first verdict, and deciding a line needs none of them
     source = str(Path(unitrail.__file__).resolve().parents[1])
@@ -574,4 +653,4 @@ def test_import_loads_no_dataclasses_inspect_or_json():
     )
     loaded = set(done.stdout.split())
     assert "unitrail.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "json"}
+    assert not loaded & {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
