@@ -1,16 +1,21 @@
 """Command-line interface: check, trails, mfw, crosscheck.
 
 One table, ``COMMANDS``, gives each subcommand its handler, positionals
-and options; ``parse_args`` reads a command line against it and
-``-h``/``--help`` is rendered from it.  An option's value may follow as
-the next word (taken verbatim, so ``--max-len -1`` reaches the handler)
-or as ``--opt=value``; options and positionals come in any order, ``--``
-ends the options, and a repeated option keeps its last value.  Options
-are spelled out in full: a prefix of one is unknown.
+and options, and each integer option its least value; ``parse_args``
+reads a command line against it and ``-h``/``--help`` is rendered from
+it.  An option's value may follow as the next word (taken verbatim, so
+``--max-len -1`` reaches the range check) or as ``--opt=value``; options
+and positionals come in any order, ``--`` ends the options, and a
+repeated option keeps its last value.  Options are spelled out in full: a
+prefix of one is unknown.  ``main`` checks every integer against the
+table's least value after parsing, so a range error names the option
+with no usage line, and the handlers receive only values in range.
 
 Exit codes: 0 for success (including NONUNIQUE verdicts), 1 when the
 reader closes stdout before the output ends, 2 when two classifiers that
-must agree do not, 64 for usage or input parse errors.
+must agree do not, 64 for usage or input parse errors, for a process
+started with stdout closed (as ``>&-`` does; no command runs) and for
+``check`` reading a closed stdin (as ``<&-`` leaves it).
 All stdout output is deterministic for a given input and flag set; the
 crosscheck timing summary goes to stderr.
 """
@@ -75,8 +80,6 @@ def _witness(trail, rejected_at: int, names: tuple[str, ...], tokens: bool) -> d
 
 
 def cmd_check(args) -> int:
-    if args.alphabet_size is not None and args.alphabet_size < 1:
-        return _usage_error("--alphabet-size must be at least 1")
     try:
         source = _open_input(args.path)
     except OSError as exc:
@@ -123,8 +126,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_trails(args) -> int:
-    if args.limit is not None and args.limit < 1:
-        return _usage_error("--limit must be at least 1")
     try:
         trail, names = parse_trail(args.sequence.strip(), tokens=args.tokens)
         trails = enumerate_trails(trail)  # checks the trail before the search
@@ -139,10 +140,6 @@ def cmd_trails(args) -> int:
 
 
 def cmd_mfw(args) -> int:
-    if args.alphabet_size < 1:
-        return _usage_error("--alphabet-size must be at least 1")
-    if args.max_len < 0:
-        return _usage_error("--max-len must be non-negative")
     try:
         names = chars_alphabet(args.alphabet_size)
     except ValueError as exc:
@@ -169,10 +166,6 @@ def cmd_mfw(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    if args.alphabet_size < 1:
-        return _usage_error("--alphabet-size must be at least 1")
-    if args.max_len < 0:
-        return _usage_error("--max-len must be non-negative")
     report = cross_validate(args.alphabet_size, args.max_len)
     try:
         names, tokens = chars_alphabet(args.alphabet_size), False
@@ -213,38 +206,41 @@ _REQUIRED = object()  # the default of an argument the command line must give
 
 # Each subcommand: its handler, its one-line help, its positionals and its
 # options.  A positional is (name, default, help); an option is
-# (flag, kind, default, help), where kind is None for a switch, a metavar
-# such as "N" for an integer, or a tuple of choices.
+# (flag, kind, default, least, help), where kind is None for a switch, a
+# metavar such as "N" for an integer, or a tuple of choices, and least is
+# the smallest value an integer option takes (None for the others).
 COMMANDS = {
     "check": (cmd_check, "classify one sequence per input line", [
         ("path", "-", "input file, or - for stdin (the default)"),
     ], [
-        ("--tokens", None, False, "whitespace-separated symbols instead of one character each"),
-        ("--alphabet-size", "M", None, "allow at most M distinct symbols per line; more is an error"),
-        ("--explain", None, False, "attach a transposition witness to NONUNIQUE lines"),
-        ("--json", None, False, "one JSON object per line"),
+        ("--tokens", None, False, None, "whitespace-separated symbols instead of one character each"),
+        ("--alphabet-size", "M", None, 1, "allow at most M distinct symbols per line; more is an error"),
+        ("--explain", None, False, None, "attach a transposition witness to NONUNIQUE lines"),
+        ("--json", None, False, None, "one JSON object per line"),
     ]),
     "trails": (cmd_trails, "list all Eulerian trails of a sequence's graph", [
         ("sequence", _REQUIRED, "the defining sequence"),
     ], [
-        ("--tokens", None, False, "whitespace-separated symbols instead of one character each"),
-        ("--limit", "N", None, "stop after N trails"),
+        ("--tokens", None, False, None, "whitespace-separated symbols instead of one character each"),
+        ("--limit", "N", None, 1, "stop after N trails"),
     ]),
     "mfw": (cmd_mfw, "emit minimal forbidden words", [], [
-        ("--alphabet-size", "M", _REQUIRED, "the number of symbols"),
-        ("--max-len", "L", _REQUIRED, "the longest word length"),
-        ("--method", ("constructive", "brute", "both"), "both", "the generator to run; both (the default) runs the two and compares"),
+        ("--alphabet-size", "M", _REQUIRED, 1, "the number of symbols"),
+        ("--max-len", "L", _REQUIRED, 0, "the longest word length"),
+        ("--method", ("constructive", "brute", "both"), "both", None, "the generator to run; both (the default) runs the two and compares"),
     ]),
     "crosscheck": (cmd_crosscheck, "exhaustively cross-validate all classifiers", [], [
-        ("--alphabet-size", "M", _REQUIRED, "the number of symbols"),
-        ("--max-len", "L", _REQUIRED, "the longest string length"),
-        ("--grammar", ("strict", "amended"), "amended", "list the completeness gaps of this grammar variant in detail (default: amended)"),
+        ("--alphabet-size", "M", _REQUIRED, 1, "the number of symbols"),
+        ("--max-len", "L", _REQUIRED, 0, "the longest string length"),
+        ("--grammar", ("strict", "amended"), "amended", None, "list the completeness gaps of this grammar variant in detail (default: amended)"),
     ]),
 }
 
 
-def _metavar(kind) -> str:
-    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind
+def _spelling(flag: str, kind) -> str:
+    """An option as usage and help show it: ``--max-len L``, ``--grammar {strict,amended}``."""
+    metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind
+    return flag if kind is None else f"{flag} {metavar}"
 
 
 def _usage(command) -> str:
@@ -252,8 +248,8 @@ def _usage(command) -> str:
         return "usage: unitrail [-h] {" + ",".join(COMMANDS) + "} ..."
     _, _, positionals, options = COMMANDS[command]
     words = ["usage: unitrail", command, "[-h]"]
-    for flag, kind, default, _ in options:
-        word = flag if kind is None else f"{flag} {_metavar(kind)}"
+    for flag, kind, default, _, _ in options:
+        word = _spelling(flag, kind)
         words.append(word if default is _REQUIRED else f"[{word}]")
     words += [name if default is _REQUIRED else f"[{name}]" for name, default, _ in positionals]
     return " ".join(words)
@@ -266,7 +262,7 @@ def _help(command) -> str:
     else:
         _, about, positionals, options = COMMANDS[command]
         rows = [(name, text) for name, _, text in positionals]
-        rows += [(flag if kind is None else f"{flag} {_metavar(kind)}", text) for flag, kind, _, text in options]
+        rows += [(_spelling(flag, kind), text) for flag, kind, _, _, text in options]
     rows.append(("-h, --help", "show this help and exit"))
     width = max(len(name) for name, _ in rows) + 2
     return "\n".join([_usage(command), "", about, "", *(f"  {name:<{width}}{text}" for name, text in rows)])
@@ -288,22 +284,29 @@ def _parse_error(command, message: str):
     raise SystemExit(_usage_error(message))
 
 
+def _attribute(name: str) -> str:
+    """The namespace attribute of a positional or an option: ``--max-len`` is ``max_len``."""
+    return name.lstrip("-").replace("-", "_")
+
+
 def parse_args(argv):
     """The command line as a namespace: ``command``, then one attribute per
     positional and option of that command, holding its default when the
     line leaves it out.  ``-h`` or ``--help`` prints the help and exits 0;
-    a malformed line prints the usage and an error to stderr and exits 64."""
+    a malformed line prints the usage and an error to stderr and exits 64.
+    An integer's range is not checked here: :func:`main` does that."""
     if argv and argv[0] in ("-h", "--help"):
         print(_help(None))
         raise SystemExit(EXIT_OK)
     if not argv:
         _parse_error(None, "the following arguments are required: command")
-    command = argv[0]
-    if command not in COMMANDS:
-        _parse_error(None, f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, COMMANDS))})")
+    command = _option_value(None, "command", tuple(COMMANDS), argv[0])
     _, _, positionals, options = COMMANDS[command]
-    kinds = {flag: kind for flag, kind, _, _ in options}
-    given, words = {}, []
+    kinds = {flag: kind for flag, kind, _, _, _ in options}
+    # every argument's value, options first, as the missing ones are named
+    values = {flag: default for flag, _, default, _, _ in options}
+    values.update((name, default) for name, default, _ in positionals)
+    words = []
     rest = iter(argv[1:])
     for arg in rest:
         if arg == "--":
@@ -318,40 +321,42 @@ def parse_args(argv):
             if flag not in kinds:
                 _parse_error(command, f"unrecognized arguments: {arg}")
             kind = kinds[flag]
-            if kind is None:
-                if has_value:
-                    _parse_error(command, f"argument {flag}: ignored explicit argument {value!r}")
-                value = True
-            else:
-                if not has_value:  # the next word, taken verbatim: `--max-len -1`
-                    value = next(rest, None)
-                    if value is None:
-                        _parse_error(command, f"argument {flag}: expected one argument")
-                value = _option_value(command, flag, kind, value)
-            given[flag] = value
+            if kind is None and has_value:
+                _parse_error(command, f"argument {flag}: ignored explicit argument {value!r}")
+            if kind is not None and not has_value:  # the next word, taken verbatim: `--max-len -1`
+                value = next(rest, None)
+                if value is None:
+                    _parse_error(command, f"argument {flag}: expected one argument")
+            values[flag] = True if kind is None else _option_value(command, flag, kind, value)
     if len(words) > len(positionals):
         _parse_error(command, f"unrecognized arguments: {' '.join(words[len(positionals):])}")
-    missing = [flag for flag, _, default, _ in options if default is _REQUIRED and flag not in given]
-    missing += [name for name, default, _ in positionals[len(words):] if default is _REQUIRED]
+    values.update((name, word) for (name, _, _), word in zip(positionals, words))
+    missing = [name for name, value in values.items() if value is _REQUIRED]
     if missing:
         _parse_error(command, f"the following arguments are required: {', '.join(missing)}")
-    namespace = {"command": command}
-    for (name, default, _), value in itertools.zip_longest(positionals, words):
-        namespace[name] = default if value is None else value
-    for flag, _, default, _ in options:
-        namespace[flag[2:].replace("-", "_")] = given.get(flag, default)
-    return SimpleNamespace(**namespace)
+    return SimpleNamespace(command=command, **{_attribute(name): value for name, value in values.items()})
 
 
 def main(argv=None) -> int:
+    """Parse the command line, check each integer option against its least
+    value in ``COMMANDS``, then run the command's handler.  With stdout
+    closed nothing runs: the output would have nowhere to go."""
+    if sys.stdout is None:  # started with stdout closed, as `>&-` does
+        return _usage_error("standard output is closed")
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    return COMMANDS[args.command][0](args)
+    handler, _, _, options = COMMANDS[args.command]
+    for flag, _, _, least, _ in options:
+        value = getattr(args, _attribute(flag))
+        if least is not None and value is not None and value < least:
+            return _usage_error(f"{flag} must be {f'at least {least}' if least else 'non-negative'}")
+    return handler(args)
 
 
 def entry() -> None:
     try:
         code = main()
-        sys.stdout.flush()
+        if sys.stdout is not None:  # main refused a closed stdout
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early, as `| head` does; Python flushes
         # stdout again at exit, so point it at devnull first

@@ -118,6 +118,16 @@ def test_run_examples():
     assert run((0, 0, 1, 0), 2) == Verdict(4)
 
 
+def test_a_negative_symbol_is_out_of_range():
+    # Python would read black[-1], the last vertex, without the lower bound
+    with pytest.raises(ValueError, match="symbol -1 out of range for alphabet size 2"):
+        run((-1,), 2)
+    state = init_state(2)
+    with pytest.raises(ValueError, match="symbol -1 out of range for alphabet size 2"):
+        advance(state, (-1,))
+    assert state == init_state(2)
+
+
 def test_run_rejects_symbols_beyond_alphabet():
     with pytest.raises(ValueError):
         run((0, 1), 1)
@@ -197,6 +207,10 @@ def test_follower_chain_guard_trips_on_corrupt_state():
 @pytest.mark.parametrize("follower,message", [
     # 0 -> 1 -> None: the walk from 0 leaves the vertex set
     pytest.param([1, None, None, None], "latest-follower chain escapes the vertex set", id="escapes"),
+    # 0 -> 3: the start-marker slot is no vertex
+    pytest.param([3, None, None, None], "latest-follower chain escapes the vertex set", id="escapes-to-marker"),
+    # 0 -> -1: a negative index would read the last vertex's slot
+    pytest.param([-1, None, None, None], "latest-follower chain escapes the vertex set", id="escapes-below-0"),
     # 0 -> 1 -> 2 -> 1: the walk from 0 circles without coming back
     pytest.param([1, 2, 1, None], "latest-follower chain does not cycle back", id="cycles"),
 ])

@@ -167,6 +167,38 @@ def test_check_with_stdin_closed_is_a_usage_error(monkeypatch, capsys):
     assert captured.err.startswith("unitrail: error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["trails", "0010"],
+    ["mfw", "--alphabet-size", "2", "--max-len", "4"],
+    ["crosscheck", "--alphabet-size", "2", "--max-len", "4"],
+    ["-h"],
+], ids=["check", "trails", "mfw", "crosscheck", "help"])
+def test_a_closed_stdout_is_refused_before_any_command_runs(argv, monkeypatch, capsys):
+    # a process started with `>&-` has no sys.stdout: the output would go
+    # nowhere, so no handler may start its work
+    def never(*args, **kwargs):
+        raise AssertionError("a command ran with stdout closed")
+
+    for name in ("parse_trail", "enumerate_trails", "constructive_mfw", "brute_mfw", "cross_validate"):
+        monkeypatch.setattr(f"unitrail.cli.{name}", never)
+    monkeypatch.setattr("sys.stdin", io.StringIO("0010\n"))
+    monkeypatch.setattr("sys.stdout", None)
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (EXIT_USAGE, "unitrail: error: standard output is closed\n")
+
+
+def test_a_process_started_with_stdout_closed_exits_64_without_a_traceback():
+    # the sweep would take about a second; the refusal comes before it
+    source = str(Path(unitrail.__file__).resolve().parents[1])
+    argv = ["crosscheck", "--alphabet-size", "10", "--max-len", "4"]
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "unitrail", *argv],
+        stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": source}, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (EXIT_USAGE, b"unitrail: error: standard output is closed\n")
+
+
 def test_check_alphabet_size_cap(monkeypatch, capsys):
     code, out, _ = run_cli(["check", "--alphabet-size", "5"], monkeypatch, capsys, stdin="010\n")
     assert code == EXIT_OK

@@ -101,6 +101,11 @@ def test_symbols_must_fit_the_alphabet():
         nfa_accepts(nfa, (0, 2))
 
 
+def test_a_negative_symbol_is_out_of_range():
+    with pytest.raises(ValueError, match="symbol -1 out of range for alphabet size 2"):
+        nfa_accepts(build_grammar_nfa(2, "amended"), (-1,))
+
+
 def test_single_symbol_grammars_generate_nothing():
     # every 0^k is a unique trail, so neither variant may accept
     for mode in ("strict", "amended"):

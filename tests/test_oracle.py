@@ -48,6 +48,14 @@ def test_the_oracle_checks_its_input():
         is_unique_trail((0, -1))
 
 
+def test_a_lost_defining_trail_is_an_error(monkeypatch):
+    # an enumeration whose one trail is not the input has broken its arc
+    # bookkeeping; the uniqueness query says so instead of answering
+    monkeypatch.setattr("unitrail.oracle.enumerate_trails", lambda trail: iter([(1, 0)]))
+    with pytest.raises(RuntimeError, match="enumeration lost the defining trail"):
+        is_unique_trail((0, 1))
+
+
 def test_is_unique_examples():
     assert is_unique_trail((0, 0, 1, 1))
     assert not is_unique_trail((0, 0, 1, 0))

@@ -153,3 +153,11 @@ def test_readme_library_values_are_what_the_library_returns():
         assert repr(value) == shown, line
         values += 1
     assert values == 4
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # pyproject.toml promises Python 3.10, and the tests run on a newer one
+    files = sorted((ROOT / "src" / "unitrail").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -85,6 +85,10 @@ def test_find_proper_site_examples():
     assert find_proper_site((0, 1, 0, 2, 0)) == TranspositionSite(0, 2, 2, 4)
 
 
+def test_the_empty_trail_has_no_proper_site():
+    assert find_proper_site(()) is None
+
+
 def test_properize_shifts_into_a_two_anchor_site():
     trail = (0, 1, 0, 1, 2, 0)
     improper = TranspositionSite(0, 2, 2, 5)
