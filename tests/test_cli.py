@@ -1,3 +1,5 @@
+import errno
+import gc
 import hashlib
 import io
 import itertools
@@ -13,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import unitrail
-from unitrail.cli import COMMANDS, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main, parse_args
+from unitrail.cli import COMMANDS, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, entry, main, parse_args
 from unitrail.harness import CrosscheckReport
 
 
@@ -197,6 +199,85 @@ def test_a_process_started_with_stdout_closed_exits_64_without_a_traceback():
         stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": source}, timeout=60,
     )
     assert (done.returncode, done.stderr) == (EXIT_USAGE, b"unitrail: error: standard output is closed\n")
+
+
+_BINARY_SWEEP = (
+    "checked 14 strings over alphabet size 2, lengths 1..3\n"
+    "four-way agreement: ok\n"
+    "strict grammar soundness: ok\n"
+    "strict grammar completeness gaps: 0\n"
+)
+# a command line and the exit code and stdout it gives whatever becomes of stderr
+_STDERR_CASES = [
+    (["mfw", "--alphabet-size", "0", "--max-len", "1"], (EXIT_USAGE, "")),
+    (["check", "--bogus"], (EXIT_USAGE, "")),
+    (["crosscheck", "--alphabet-size", "2", "--max-len", "3"], (EXIT_OK, _BINARY_SWEEP)),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _STDERR_CASES, ids=["range-error", "parse-error", "crosscheck"])
+def test_a_process_started_with_stderr_closed_keeps_its_exit_code(argv, expected):
+    # the lost diagnostic must neither reach stdout nor turn into exit 1,
+    # which means the reader closed stdout
+    source = str(Path(unitrail.__file__).resolve().parents[1])
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "unitrail", *argv],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": source}, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == expected
+
+
+class _ClosedStream(io.StringIO):
+    """A stream over a closed file descriptor: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
+
+
+@pytest.mark.parametrize("stderr", ["none", "closed"])
+@pytest.mark.parametrize("argv, expected", _STDERR_CASES, ids=["range-error", "parse-error", "crosscheck"])
+def test_a_missing_or_closed_stderr_changes_neither_stdout_nor_the_exit_code(argv, expected, stderr, monkeypatch, capsys):
+    # a process started with `2>&-` has sys.stderr None, or a stream over
+    # whatever file start-up opened as fd 2 (a read-only one); print(file=None)
+    # would write the diagnostic to stdout, and a failed write would raise
+    monkeypatch.setattr("sys.stderr", None if stderr == "none" else _ClosedStream())
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a parse error exits from parse_args
+        code = exc.code
+    assert (code, capsys.readouterr().out) == expected
+
+
+def test_entry_freezes_the_heap_once_before_main_and_exits_with_its_code(monkeypatch):
+    # the recording stand-ins keep the test process's collector untouched
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+
+    def fake_main(argv=None):
+        calls.append(("main", argv))
+        return EXIT_MISMATCH
+
+    monkeypatch.setattr("unitrail.cli.main", fake_main)
+    with pytest.raises(SystemExit) as exited:
+        entry()
+    assert (calls, exited.value.code) == (["freeze", ("main", None)], EXIT_MISMATCH)
+
+
+def test_main_leaves_the_collector_alone(monkeypatch, capsys):
+    def never():
+        raise AssertionError("main froze the collector")
+
+    monkeypatch.setattr(gc, "freeze", never)
+    frozen = gc.get_freeze_count()
+    for argv, stdin in [
+        (["check", "--tokens", "--explain"], "0 0 1 0\n"),
+        (["trails", "0010"], ""),
+        (["mfw", "--alphabet-size", "2", "--max-len", "4"], ""),
+        (["crosscheck", "--alphabet-size", "2", "--max-len", "3"], ""),
+    ]:
+        assert run_cli(argv, monkeypatch, capsys, stdin)[0] == EXIT_OK, argv
+    assert gc.get_freeze_count() == frozen
 
 
 def test_check_alphabet_size_cap(monkeypatch, capsys):
@@ -686,3 +767,35 @@ def test_import_loads_no_dataclasses_inspect_json_argparse_gettext_or_locale():
     loaded = set(done.stdout.split())
     assert "unitrail.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "json", "argparse", "gettext", "locale"}
+
+
+def test_import_leaves_the_collector_alone():
+    # only entry(), which ends the process, may freeze the start-up heap
+    source = str(Path(unitrail.__file__).resolve().parents[1])
+    probe = "import gc, unitrail.cli; print(gc.isenabled(), gc.get_freeze_count())"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": source}, timeout=60,
+    )
+    assert done.stdout == "True 0\n"
+
+
+def test_the_process_prints_what_main_prints(tmp_path, monkeypatch, capsys):
+    # small forms of the four benchmark commands, through `python -m
+    # unitrail` (entry, which freezes) and through main in this process
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("0 1 2 3\n0 1 2 0 2 1 0\n0 1 0 2 0\n10 11 12 10 12 11 10 13 11\n3 4 5 3 5 4 3 4\n")
+    source = str(Path(unitrail.__file__).resolve().parents[1])
+    for argv in [
+        ["check", "--tokens", str(corpus)],
+        ["check", "--tokens", "--explain", str(corpus)],
+        ["crosscheck", "--alphabet-size", "3", "--max-len", "3", "--grammar", "strict"],
+        ["mfw", "--alphabet-size", "2", "--max-len", "8", "--method", "both"],
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "unitrail", *argv], stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": source}, timeout=60,
+        )
+        code, out, _ = run_cli(argv, monkeypatch, capsys)
+        assert out.count("\n") > 3, argv
+        assert (done.returncode, done.stdout) == (code, out), argv
