@@ -81,10 +81,18 @@ def _lines(stream):
     """The stream's lines one at a time, split as ``str.splitlines`` splits
     the whole text: each chunk the stream yields ends at a ``\n``, so no
     line ending straddles two chunks.  A U+FEFF that starts the input is a
-    byte-order mark, not a symbol; anywhere else it is a symbol."""
+    byte-order mark, not a symbol; anywhere else it is a symbol.
+
+    A chunk is dropped once it is split, and a line once it is handed out,
+    so a line is held once, and only by the caller."""
     chunks = iter(stream)
-    for chunk in itertools.chain([next(chunks, "").removeprefix("\ufeff")], chunks):
-        yield from chunk.splitlines()
+    rest = map(str.splitlines, chunks)
+    lines = next(chunks, "").removeprefix("\ufeff").splitlines()
+    while lines is not None:
+        lines.reverse()
+        while lines:
+            yield lines.pop()
+        lines = next(rest, None)
 
 
 def _witness(trail, rejected_at: int, names: tuple[str, ...], tokens: bool) -> dict:
@@ -98,6 +106,50 @@ def _witness(trail, rejected_at: int, names: tuple[str, ...], tokens: bool) -> d
     return data
 
 
+def _plain(report: dict) -> str:
+    """A report as one tab-separated line."""
+    fields = [
+        str(report["index"]),
+        report["verdict"],
+        "-" if report["first_rejection"] is None else str(report["first_rejection"]),
+    ]
+    if "witness" in report:
+        fields += [f"{key}={value}" for key, value in report["witness"].items()]
+    return "\t".join(fields)
+
+
+def _check_line(raw: str, index: int, args, show) -> str | None:
+    """Print the verdict on one input line, formatted by ``show``, or return
+    the error that ends ``check`` at this line.  The trail, the names, the
+    verdict and the report are this call's locals, so none of them is
+    alive when the next line is read."""
+    # a lone surrogate stands for an undecodable byte, and an ASCII line
+    # (isascii is O(1)) has none, so only other lines are encoded to look
+    if not raw.isascii():
+        try:
+            raw.encode()
+        except UnicodeEncodeError:
+            return "undecodable bytes"
+    try:
+        trail, names = parse_trail(raw.strip(), tokens=args.tokens)
+    except TrailParseError as exc:
+        return str(exc)
+    if args.alphabet_size is not None and len(names) > args.alphabet_size:
+        return f"{len(names)} distinct symbols exceed --alphabet-size {args.alphabet_size}"
+    # the automaton runs over the line's own symbols, so the verdict, the
+    # rejection and the witness are the same at any --alphabet-size
+    verdict = run(trail, len(names))
+    report = {
+        "index": index,
+        "verdict": "UNIQUE" if verdict.accepted else "NONUNIQUE",
+        "first_rejection": verdict.first_rejection,
+    }
+    if args.explain and not verdict.accepted:
+        report["witness"] = _witness(trail, verdict.first_rejection, names, args.tokens)
+    print(show(report), flush=True)
+    return None
+
+
 def cmd_check(args) -> int:
     try:
         source = _open_input(args.path)
@@ -105,42 +157,17 @@ def cmd_check(args) -> int:
         return _usage_error(str(exc))
     if args.json:
         import json  # only here, so that plain output starts without it
+        show = json.dumps
+    else:
+        show = _plain
     with source as stream:
-        for lineno, raw in enumerate(_lines(stream), start=1):
-            try:
-                raw.encode()
-            except UnicodeEncodeError:
-                return _usage_error(f"line {lineno}: undecodable bytes")
-            try:
-                trail, names = parse_trail(raw.strip(), tokens=args.tokens)
-                if args.alphabet_size is not None and len(names) > args.alphabet_size:
-                    raise TrailParseError(
-                        f"{len(names)} distinct symbols exceed --alphabet-size {args.alphabet_size}"
-                    )
-            except TrailParseError as exc:
-                return _usage_error(f"line {lineno}: {exc}")
-            # the automaton runs over the line's own symbols, so the
-            # verdict, the rejection and the witness are the same at any
-            # --alphabet-size
-            verdict = run(trail, len(names))
-            report = {
-                "index": lineno - 1,
-                "verdict": "UNIQUE" if verdict.accepted else "NONUNIQUE",
-                "first_rejection": verdict.first_rejection,
-            }
-            if args.explain and not verdict.accepted:
-                report["witness"] = _witness(trail, verdict.first_rejection, names, args.tokens)
-            if args.json:
-                print(json.dumps(report), flush=True)
-            else:
-                fields = [
-                    str(report["index"]),
-                    report["verdict"],
-                    "-" if report["first_rejection"] is None else str(report["first_rejection"]),
-                ]
-                if "witness" in report:
-                    fields += [f"{key}={value}" for key, value in report["witness"].items()]
-                print("\t".join(fields), flush=True)
+        index = 0
+        for raw in _lines(stream):
+            error = _check_line(raw, index, args, show)
+            del raw  # the next line is read with nothing of this one alive
+            if error is not None:
+                return _usage_error(f"line {index + 1}: {error}")
+            index += 1
     return EXIT_OK
 
 

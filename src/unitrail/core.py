@@ -15,6 +15,11 @@ Trail = tuple[int, ...]
 # Default single-character names for canonically built alphabets.
 DEFAULT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
+# The characters tokens mode splits at once.  A split's token strings cost
+# about 80 bytes each beyond the text, so a long line is split a slice at a
+# time; a slice of 8 KiB still hands some thousand tokens to each split.
+SLICE_CHARS = 8192
+
 
 class TrailParseError(ValueError):
     """Input text could not be parsed into a trail."""
@@ -35,6 +40,19 @@ def chars_alphabet(size: int) -> tuple[str, ...]:
     return tuple(DEFAULT_CHARS[:size])
 
 
+def _slices(text: str):
+    """The text in pieces of about ``SLICE_CHARS`` characters, each cut at a
+    U+0020 so that no token straddles two; a text with no U+0020 past the
+    first ``SLICE_CHARS`` characters is one piece, the text itself."""
+    start = 0
+    while start < len(text):
+        cut = text.find(" ", start + SLICE_CHARS)
+        if cut < 0:
+            cut = len(text)
+        yield text[start:cut]
+        start = cut
+
+
 def parse_trail(text: str, tokens: bool = False) -> tuple[Trail, tuple[str, ...]]:
     """Parse text into a trail and the names of its symbols.
 
@@ -42,15 +60,24 @@ def parse_trail(text: str, tokens: bool = False) -> tuple[Trail, tuple[str, ...]
     in the text raises :class:`TrailParseError`; in tokens mode symbols are
     whitespace-separated.  Ids are assigned in first-appearance order, and
     ``names[i]`` is the token of id ``i``.
+
+    Tokens mode splits the text one slice of about ``SLICE_CHARS``
+    characters at a time, each cut at a space (U+0020), and a slice's token
+    strings are freed before the next slice is split; the tokens are those
+    of one split of the whole text.  So beyond the text and the names, a
+    long line costs about 17 bytes a token at the peak: its id list and its
+    trail, on a 64-bit build.
     """
     if tokens:
-        pieces = text.split()
+        parts = map(str.split, _slices(text))
     else:
         # str.split splits on exactly the characters str.isspace accepts,
         # so one split in C finds any whitespace; the empty text has none
         if text and text.split(maxsplit=1) != [text]:
             raise TrailParseError("whitespace is not a symbol in chars mode")
-        pieces = text
+        parts = (text,)
     ids: dict[str, int] = {}
-    trail = tuple([ids.setdefault(piece, len(ids)) for piece in pieces])
+    # one comprehension over the parts: a part's list of token strings is
+    # dropped as soon as the next part is split
+    trail = tuple([ids.setdefault(piece, len(ids)) for part in parts for piece in part])
     return trail, tuple(ids)

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import random
 import select
 import shlex
 import subprocess
@@ -16,6 +17,7 @@ import pytest
 
 import unitrail
 from unitrail.cli import COMMANDS, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, entry, main, parse_args
+from unitrail.core import SLICE_CHARS
 from unitrail.harness import CrosscheckReport
 
 
@@ -312,6 +314,30 @@ def test_check_alphabet_size_costs_no_memory_per_padded_vertex(monkeypatch, caps
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("digits,count", [(6, 200000), (60, 20000)], ids=["parse-peak", "read-peak"])
+def test_check_holds_nothing_of_a_line_while_it_checks_the_next(digits, count, tmp_path, monkeypatch, capsys):
+    # a second line leaves the peak where one line put it: the first line,
+    # its trail and its names are gone before the second is read.  With
+    # long tokens the peak comes while a line is read, not parsed
+    rng = random.Random(1)
+    lines = []
+    for first in (1, 2):
+        names = [str(first * 10 ** (digits - 1) + i) for i in range(1000)]
+        lines.append(" ".join(rng.choice(names) for _ in range(count)) + "\n")
+    peaks = []
+    for used in (1, 2):
+        source = tmp_path / f"{used}.txt"
+        source.write_text("".join(lines[:used]), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["check", "--tokens", str(source)], monkeypatch, capsys)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (code, len(out.splitlines())) == (EXIT_OK, used)
+    assert peaks[1] - peaks[0] < len(lines[1]) / 2
+
+
 def test_check_json_and_plain_carry_identical_information(monkeypatch, capsys):
     stdin = "0010\nababab\n011010\n"
     args = ["check", "--explain"]
@@ -431,6 +457,19 @@ def test_check_rejects_undecodable_bytes_in_a_file(tmp_path, monkeypatch, capsys
     assert code == EXIT_USAGE
     assert out == "0\tNONUNIQUE\t4\n"
     assert "line 2:" in err
+
+
+def test_check_names_the_line_of_an_undecodable_byte_past_the_first_slice(tmp_path, monkeypatch, capsys):
+    # only lines that are not ASCII are looked at for lone surrogates; the
+    # byte sits in a token far past the first slice of a long line, after a
+    # line that is not ASCII but decodes
+    tokens = [f"t{i % 500}" for i in range(3 * SLICE_CHARS)]
+    source = tmp_path / "input.txt"
+    source.write_bytes(b"\xc3\xa9 x \xc3\xa9\n" + " ".join(tokens).encode() + b" t1\xff " + b"t1\n")
+    code, out, err = run_cli(["check", "--tokens", str(source)], monkeypatch, capsys)
+    assert code == EXIT_USAGE
+    assert out == "0\tUNIQUE\t-\n"
+    assert err == "unitrail: error: line 2: undecodable bytes\n"
 
 
 def test_check_rejects_undecodable_bytes_on_stdin():

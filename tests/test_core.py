@@ -1,10 +1,14 @@
+import random
 import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unitrail.core import TrailParseError, chars_alphabet, parse_trail, render
+from unitrail import core
+from unitrail.core import SLICE_CHARS, TrailParseError, chars_alphabet, parse_trail, render
 from unitrail.oracle import enumerate_trails
 
 from reference import arcs
@@ -49,6 +53,61 @@ def test_parse_chars_rejects_every_whitespace_code_point_anywhere(space):
     for text in (space, space + "ab", "a" + space + "b", "ab" + space):
         with pytest.raises(TrailParseError, match="whitespace is not a symbol in chars mode"):
             parse_trail(text)
+
+
+def split_whole_line(text):
+    """What tokens-mode parse_trail returns, from one split of the whole text."""
+    ids = {}
+    return tuple([ids.setdefault(token, len(ids)) for token in text.split()]), tuple(ids)
+
+
+def sliced_texts():
+    """Tokens-mode texts of several slices each, named by their shape."""
+    tokens = [f"t{i % 700}" for i in range(12000)]
+    # every whitespace code point, in runs of 1-3, between the tokens; one
+    # separator in 29 holds the U+0020 a slice is cut at
+    mixed = "".join(token + WHITESPACE[i % 29] * (1 + i % 3) for i, token in enumerate(tokens))
+    edges = "".join(WHITESPACE)
+    yield "every-whitespace-run", mixed
+    yield "leading-and-trailing-whitespace", edges + mixed + edges
+    yield "spaces-only", " ".join(tokens)
+    yield "token-longer-than-a-slice", " ".join(tokens[:2000] + ["x" * (3 * SLICE_CHARS)] + tokens[:2000])
+    yield "no-space-after-the-first-offset", " " + "\t".join(tokens)
+    yield "empty", ""
+
+
+@pytest.mark.parametrize("text", [pytest.param(text, id=name) for name, text in sliced_texts()])
+def test_parse_tokens_in_slices_equals_one_split_of_the_whole_line(text):
+    assert parse_trail(text, tokens=True) == split_whole_line(text)
+
+
+@given(
+    st.integers(1, 12),
+    st.text(st.sampled_from(["a", "b", "\u00e9", " ", " ", *WHITESPACE]), max_size=80),
+)
+def test_parse_tokens_equals_one_split_at_any_slice_size(size, text):
+    # a small slice puts the cuts at every offset of a short text; U+0020,
+    # where a cut falls, is drawn more often than the other whitespace
+    with mock.patch.object(core, "SLICE_CHARS", size):
+        assert parse_trail(text, tokens=True) == split_whole_line(text)
+
+
+def test_parse_tokens_peak_memory_is_a_few_bytes_per_token():
+    # beyond its text, a line of 200,000 six-character tokens costs its id
+    # list and its trail at the peak, not a string per token
+    rng = random.Random(1)
+    names = [str(100000 + i) for i in range(1000)]
+    count = 200000
+    text = " ".join(rng.choice(names) for _ in range(count))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        trail, _ = parse_trail(text, tokens=True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(trail) == count
+    assert peak < 24 * count
 
 
 def test_alphabet_validation():

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from unitrail.cli import main
+from unitrail.core import SLICE_CHARS
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -78,6 +79,17 @@ def test_traced_check_counts_parsed_and_consumed_symbols(tmp_path):
     assert layers["core.symbols_parsed"] == 10
     assert layers["automaton.symbols_consumed"] == 8
     assert layers["automaton.runs"] == 2
+
+
+def test_traced_check_counts_every_symbol_of_a_line_split_in_slices(tmp_path):
+    # the first line spans several slices of the tokens-mode split: it is
+    # still one parse_trail call and one run, and every token is counted
+    long_line = " ".join(str(100000 + i % 3000) for i in range(3 * SLICE_CHARS))
+    lines = tmp_path / "lines.txt"
+    lines.write_text(f"{long_line}\nx y x y\n", encoding="utf-8")
+    calls, layers = traced_calls(["check", "--tokens", str(lines)])
+    assert layers["core.symbols_parsed"] == 3 * SLICE_CHARS + 4
+    assert calls["core.parse_trail"] == calls["automaton.run"] == 2
 
 
 def test_traced_crosscheck_calls_every_layer_its_workload_requires():
