@@ -1,7 +1,7 @@
 """Streaming uniqueness checks for Eulerian trails of trail-induced multigraphs."""
 
 from .automaton import AutomatonState, Verdict, advance, init_state, run
-from .core import Trail, TrailParseError, chars_alphabet, parse_trail, render
+from .core import Trail, TrailParseError, id_names, parse_trail, render
 from .grammar import GrammarNFA, LiveSet, build_grammar_nfa, nfa_accepts
 from .harness import CrosscheckReport, cross_validate
 from .mfw import brute_mfw, constructive_mfw
@@ -29,12 +29,12 @@ __all__ = [
     "apply_transposition",
     "brute_mfw",
     "build_grammar_nfa",
-    "chars_alphabet",
     "constructive_mfw",
     "cross_validate",
     "enumerate_trails",
     "find_proper_site",
     "has_proper_transposition",
+    "id_names",
     "init_state",
     "is_unique_trail",
     "nfa_accepts",

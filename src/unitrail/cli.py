@@ -30,6 +30,7 @@ library or test caller's collector is left as it was.
 """
 
 import contextlib
+import functools
 import gc
 import itertools
 import os
@@ -37,7 +38,7 @@ import sys
 from types import SimpleNamespace
 
 from .automaton import run
-from .core import TrailParseError, chars_alphabet, parse_trail, render
+from .core import TrailParseError, id_names, parse_trail, render
 from .harness import cross_validate
 from .mfw import brute_mfw, constructive_mfw
 from .oracle import enumerate_trails
@@ -48,7 +49,7 @@ EXIT_PIPE = 1
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
 
-_GAPS_SHOWN = 10
+_WORDS_SHOWN = 10
 
 
 def _stderr(text: str) -> None:
@@ -66,13 +67,16 @@ def _usage_error(message: str) -> int:
 
 
 def _open_input(path: str):
-    """The input as a text stream in which undecodable bytes become lone
-    surrogates, so ``check`` can reject them with a line number."""
+    """The input, a file or stdin, as a UTF-8 text stream in which
+    undecodable bytes become lone surrogates, so ``check`` can reject them
+    with a line number.  Stdin is read as UTF-8 whatever the locale or
+    ``PYTHONIOENCODING`` says, so the same bytes get the same verdicts
+    from a pipe as from a file."""
     if path == "-":
         if sys.stdin is None:  # started with stdin closed, as `<&-` does
             raise OSError("standard input is closed")
         if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(errors="surrogateescape")
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
         return contextlib.nullcontext(sys.stdin)
     return open(path, encoding="utf-8", errors="surrogateescape")
 
@@ -186,10 +190,7 @@ def cmd_trails(args) -> int:
 
 
 def cmd_mfw(args) -> int:
-    try:
-        names = chars_alphabet(args.alphabet_size)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    names, tokens = id_names(args.alphabet_size)
     if args.method == "constructive":
         words = constructive_mfw(args.alphabet_size, args.max_len)
     elif args.method == "brute":
@@ -201,43 +202,48 @@ def cmd_mfw(args) -> int:
             only_built = sorted(set(built) - set(scanned))
             only_scanned = sorted(set(scanned) - set(built))
             for word in only_built:
-                print(f"only-constructive\t{render(names, word)}")
+                print(f"only-constructive\t{render(names, word, tokens)}")
             for word in only_scanned:
-                print(f"only-brute\t{render(names, word)}")
+                print(f"only-brute\t{render(names, word, tokens)}")
             return EXIT_MISMATCH
         words = built
     for word in words:
-        print(render(names, word))
+        print(render(names, word, tokens))
     return EXIT_OK
+
+
+def _print_capped(kind: str, found: list, show) -> None:
+    """Print the first ``_WORDS_SHOWN`` entries of ``found``, each on a line
+    ``  kind text`` with ``show(entry)`` as its text, then how many more
+    there are, if any."""
+    for entry in found[:_WORDS_SHOWN]:
+        print(f"  {kind} {show(entry)}")
+    if len(found) > _WORDS_SHOWN:
+        print(f"  ... {len(found) - _WORDS_SHOWN} more")
 
 
 def cmd_crosscheck(args) -> int:
     report = cross_validate(args.alphabet_size, args.max_len)
-    try:
-        names, tokens = chars_alphabet(args.alphabet_size), False
-    except ValueError:
-        # more symbols than single-character names: show the ids as tokens
-        names, tokens = tuple(map(str, range(args.alphabet_size))), True
-    print(f"checked {report.checked} strings over alphabet size {report.alphabet_size}, lengths 1..{report.max_len}")
+    names, tokens = id_names(args.alphabet_size)
+    word = functools.partial(render, names, tokens=tokens)
+
+    def disagreement(found) -> str:
+        return word(found[0]) + ": " + " ".join(f"{name}={value}" for name, value in found[1].items())
+
+    print(f"checked {report.checked} strings over alphabet size {args.alphabet_size}, lengths 1..{args.max_len}")
     if report.disagreements:
         print(f"four-way agreement: FAILED ({len(report.disagreements)} disagreements)")
-        for word, verdicts in report.disagreements[:_GAPS_SHOWN]:
-            detail = " ".join(f"{name}={value}" for name, value in verdicts.items())
-            print(f"  disagree {render(names, word, tokens)}: {detail}")
+        _print_capped("disagree", report.disagreements, disagreement)
     else:
         print("four-way agreement: ok")
     if report.strict_unsound:
         print(f"strict grammar soundness: FAILED ({len(report.strict_unsound)} violations)")
-        for word in report.strict_unsound[:_GAPS_SHOWN]:
-            print(f"  unsound {render(names, word, tokens)}")
+        _print_capped("unsound", report.strict_unsound, word)
     else:
         print("strict grammar soundness: ok")
     print(f"strict grammar completeness gaps: {len(report.strict_gaps)}")
     if args.grammar == "strict":
-        for word in report.strict_gaps[:_GAPS_SHOWN]:
-            print(f"  gap {render(names, word, tokens)}")
-        if len(report.strict_gaps) > _GAPS_SHOWN:
-            print(f"  ... {len(report.strict_gaps) - _GAPS_SHOWN} more")
+        _print_capped("gap", report.strict_gaps, word)
     elif report.strict_gaps:
         print("  (rerun with --grammar strict to list them)")
     timing = " ".join(f"{name}={seconds:.2f}s" for name, seconds in report.timings.items())

@@ -1,24 +1,34 @@
 """Symbols, alphabets and trails.
 
 A trail is a plain tuple of dense integer vertex ids.  Token names exist
-only at the I/O boundary (parsing and rendering); everything downstream
-works on ids 0..m-1.  An alphabet is the tuple of its names, the name of
-id ``i`` at index ``i``, so its size is its length.  The graph a trail
-induces needs no type of its own: its arcs are the trail's consecutive
-pairs, and the oracle counts them from the trail.  Each classifier
+only at the I/O boundary, where each decision has one rule: parsing takes
+every character :meth:`str.split` splits on as a separator, :func:`render`
+writes ids in a tuple of names, and :func:`id_names` names the ids of a
+size for every command that prints them; everything downstream works on
+ids 0..m-1.  An alphabet is the tuple of its names, the name of id ``i``
+at index ``i``, so its size is its length.  The graph a trail induces
+needs no type of its own: its arcs are the trail's consecutive pairs, and
+the oracle counts them from the trail.  Each classifier
 checks the symbols of the trail it is given against its own alphabet
 size, so nothing here validates ids.
 """
 
+import re
+
 Trail = tuple[int, ...]
 
-# Default single-character names for canonically built alphabets.
+# The single-character names of the first ids, in id order.
 DEFAULT_CHARS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # The characters tokens mode splits at once.  A split's token strings cost
 # about 80 bytes each beyond the text, so a long line is split a slice at a
 # time; a slice of 8 KiB still hands some thousand tokens to each split.
 SLICE_CHARS = 8192
+
+# On a str pattern \s matches exactly the characters str.isspace accepts,
+# which are the ones str.split splits on; the search runs in C, so a token
+# longer than a slice costs no Python step per character.
+_WHITESPACE = re.compile(r"\s")
 
 
 class TrailParseError(ValueError):
@@ -31,24 +41,26 @@ def render(names: tuple[str, ...], trail: Trail, tokens: bool = False) -> str:
     return sep.join([names[s] for s in trail])
 
 
-def chars_alphabet(size: int) -> tuple[str, ...]:
-    """Canonical single-character names: 0-9, then a-z, then A-Z."""
+def id_names(size: int) -> tuple[tuple[str, ...], bool]:
+    """The names printed for the ids 0..size-1, and whether they print as
+    tokens (for :func:`render`): up to 62 ids, one character each, 0-9,
+    then a-z, then A-Z; beyond that every id as its decimal digits."""
     if size < 0:
         raise ValueError("alphabet size must be non-negative")
-    if size > len(DEFAULT_CHARS):
-        raise ValueError(f"chars mode supports at most {len(DEFAULT_CHARS)} symbols")
-    return tuple(DEFAULT_CHARS[:size])
+    if size <= len(DEFAULT_CHARS):
+        return tuple(DEFAULT_CHARS[:size]), False
+    return tuple(map(str, range(size))), True
 
 
 def _slices(text: str):
-    """The text in pieces of about ``SLICE_CHARS`` characters, each cut at a
-    U+0020 so that no token straddles two; a text with no U+0020 past the
-    first ``SLICE_CHARS`` characters is one piece, the text itself."""
+    """The text in pieces of about ``SLICE_CHARS`` characters: each piece
+    ends at the first whitespace character at or after ``SLICE_CHARS``
+    characters from its start, or at the end of the text, so that no token
+    straddles two."""
     start = 0
     while start < len(text):
-        cut = text.find(" ", start + SLICE_CHARS)
-        if cut < 0:
-            cut = len(text)
+        found = _WHITESPACE.search(text, start + SLICE_CHARS)
+        cut = found.start() if found else len(text)
         yield text[start:cut]
         start = cut
 
@@ -62,10 +74,11 @@ def parse_trail(text: str, tokens: bool = False) -> tuple[Trail, tuple[str, ...]
     ``names[i]`` is the token of id ``i``.
 
     Tokens mode splits the text one slice of about ``SLICE_CHARS``
-    characters at a time, each cut at a space (U+0020), and a slice's token
-    strings are freed before the next slice is split; the tokens are those
-    of one split of the whole text.  So beyond the text and the names, a
-    long line costs about 17 bytes a token at the peak: its id list and its
+    characters at a time, each cut at a character :meth:`str.split` splits
+    on, and a slice's token strings are freed before the next slice is
+    split; the tokens are those of one split of the whole text.  So beyond
+    the text and the names, a long line costs about 17 bytes a token at the
+    peak, whichever whitespace separates its tokens: its id list and its
     trail, on a 64-bit build.
     """
     if tokens:

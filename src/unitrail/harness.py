@@ -63,9 +63,7 @@ class CrosscheckReport:
     strict grammar's unsound words and its completeness gaps, and the
     seconds spent in each classifier."""
 
-    def __init__(self, alphabet_size: int, max_len: int):
-        self.alphabet_size = alphabet_size
-        self.max_len = max_len
+    def __init__(self):
         self.checked = 0
         self.disagreements: list = []
         self.strict_unsound: list = []
@@ -78,7 +76,7 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     if size < 1:
         raise ValueError("alphabet size must be at least 1")
     amended = build_grammar_nfa(size, "amended")
-    report = CrosscheckReport(size, max_len)
+    report = CrosscheckReport()
     # each string is its parent plus one of these; built once per sweep
     singles = [(symbol,) for symbol in range(size)]
     spent_automaton = spent_oracle = spent_scan = spent_amended = 0.0
@@ -138,10 +136,8 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
                 words, rejected_each, nonunique_each, swappable_each, by_amended_each, by_strict_each
             ):
                 if not (rejected == nonunique == swappable == by_amended):
-                    report.disagreements.append(
-                        (word, {"automaton": not rejected, "oracle": not nonunique,
-                                "transposition-scan": not swappable, "grammar-amended": not by_amended})
-                    )
+                    accepted = (not rejected, not nonunique, not swappable, not by_amended)
+                    report.disagreements.append((word, dict(zip(CLASSIFIERS, accepted))))
                 if by_strict != swappable:
                     (report.strict_unsound if by_strict else report.strict_gaps).append(word)
         if len(prefix) + 1 < max_len:

@@ -17,7 +17,7 @@ import pytest
 
 import unitrail
 from unitrail.cli import COMMANDS, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, entry, main, parse_args
-from unitrail.core import SLICE_CHARS
+from unitrail.core import SLICE_CHARS, id_names, render
 from unitrail.harness import CrosscheckReport
 
 
@@ -472,6 +472,13 @@ def test_check_names_the_line_of_an_undecodable_byte_past_the_first_slice(tmp_pa
     assert err == "unitrail: error: line 2: undecodable bytes\n"
 
 
+def test_check_reads_stdin_as_utf8_whatever_the_environment_says():
+    # 0\xff0 is not UTF-8; a latin-1 stdin would read it as a unique line
+    proc = start_cli(["check"], PYTHONIOENCODING="latin-1")
+    out, err = proc.communicate(b"0\xff0\n", timeout=10)
+    assert (proc.returncode, out, err) == (EXIT_USAGE, b"", b"unitrail: error: line 1: undecodable bytes\n")
+
+
 def test_check_rejects_undecodable_bytes_on_stdin():
     # a strict decoder on stdin would raise before any line could be named
     proc = start_cli(["check"], PYTHONIOENCODING="utf-8:strict")
@@ -598,7 +605,7 @@ def test_mfw_disagreement_prints_difference_and_exits_2(monkeypatch, capsys):
 
 
 def test_crosscheck_disagreement_exits_2(monkeypatch, capsys):
-    fake = CrosscheckReport(2, 4)
+    fake = CrosscheckReport()
     fake.checked = 30
     fake.disagreements.append(
         ((0, 0, 1, 0), {"automaton": True, "oracle": False})
@@ -622,7 +629,7 @@ def test_crosscheck_disagreement_exits_2(monkeypatch, capsys):
 
 def test_crosscheck_disagreement_beyond_the_character_names_prints_tokens(monkeypatch, capsys):
     # above 62 symbols a word is printed as its ids, space-separated
-    fake = CrosscheckReport(64, 3)
+    fake = CrosscheckReport()
     fake.checked = 266_304
     fake.disagreements.append(((0, 63, 0), {"automaton": True, "oracle": False}))
     monkeypatch.setattr("unitrail.cli.cross_validate", lambda size, max_len: fake)
@@ -633,12 +640,52 @@ def test_crosscheck_disagreement_beyond_the_character_names_prints_tokens(monkey
     assert "  disagree 0 63 0: automaton=True oracle=False" in out.splitlines()
 
 
+def test_crosscheck_caps_every_word_list_it_prints(monkeypatch, capsys):
+    # disagreements, unsound words and strict gaps are each cut at the same
+    # count, and a cut list says how many it left out
+    fake = CrosscheckReport()
+    fake.checked = 30
+    words = [(0, 0, 1, symbol) for symbol in range(12)]
+    fake.disagreements += [(word, {"automaton": True, "oracle": False}) for word in words]
+    fake.strict_unsound += words[:11]
+    fake.strict_gaps += words
+    monkeypatch.setattr("unitrail.cli.cross_validate", lambda size, max_len: fake)
+    code, out, _ = run_cli(
+        ["crosscheck", "--alphabet-size", "12", "--max-len", "4", "--grammar", "strict"], monkeypatch, capsys
+    )
+    assert code == EXIT_MISMATCH
+    shown = [render(id_names(12)[0], word) for word in words[:10]]
+    assert out.splitlines() == [
+        "checked 30 strings over alphabet size 12, lengths 1..4",
+        "four-way agreement: FAILED (12 disagreements)",
+        *(f"  disagree {word}: automaton=True oracle=False" for word in shown),
+        "  ... 2 more",
+        "strict grammar soundness: FAILED (11 violations)",
+        *(f"  unsound {word}" for word in shown),
+        "  ... 1 more",
+        "strict grammar completeness gaps: 12",
+        *(f"  gap {word}" for word in shown),
+        "  ... 2 more",
+    ]
+
+
+def test_mfw_beyond_the_character_names_prints_ids_as_tokens(monkeypatch, capsys):
+    # 63 symbols are one more than the single-character names, so every id
+    # prints as its decimal digits, as crosscheck prints them
+    code, out, err = run_cli(
+        ["mfw", "--alphabet-size", "63", "--max-len", "4", "--method", "constructive"], monkeypatch, capsys
+    )
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert lines[0] == "0 0 1 0"
+    assert "62 62 61 62" in lines
+
+
 def test_mfw_invalid_bounds(monkeypatch, capsys):
     # every command's out-of-range bound exits 64 with nothing on stdout
     for argv, message in (
         (["mfw", "--alphabet-size", "0", "--max-len", "4"], "--alphabet-size must be at least 1"),
         (["mfw", "--alphabet-size", "2", "--max-len", "-1"], "--max-len must be non-negative"),
-        (["mfw", "--alphabet-size", "63", "--max-len", "4"], "chars mode supports at most 62 symbols"),
         (["check", "--alphabet-size", "0"], "--alphabet-size must be at least 1"),
         (["trails", "aba", "--limit", "0"], "--limit must be at least 1"),
         (["crosscheck", "--alphabet-size", "0", "--max-len", "2"], "--alphabet-size must be at least 1"),

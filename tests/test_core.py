@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unitrail import core
-from unitrail.core import SLICE_CHARS, TrailParseError, chars_alphabet, parse_trail, render
+from unitrail.core import SLICE_CHARS, TrailParseError, id_names, parse_trail, render
 from unitrail.oracle import enumerate_trails
 
 from reference import arcs
@@ -64,8 +64,8 @@ def split_whole_line(text):
 def sliced_texts():
     """Tokens-mode texts of several slices each, named by their shape."""
     tokens = [f"t{i % 700}" for i in range(12000)]
-    # every whitespace code point, in runs of 1-3, between the tokens; one
-    # separator in 29 holds the U+0020 a slice is cut at
+    # every whitespace code point, in runs of 1-3, between the tokens; a
+    # slice is cut at whichever of them comes first past its offset
     mixed = "".join(token + WHITESPACE[i % 29] * (1 + i % 3) for i, token in enumerate(tokens))
     edges = "".join(WHITESPACE)
     yield "every-whitespace-run", mixed
@@ -86,19 +86,29 @@ def test_parse_tokens_in_slices_equals_one_split_of_the_whole_line(text):
     st.text(st.sampled_from(["a", "b", "\u00e9", " ", " ", *WHITESPACE]), max_size=80),
 )
 def test_parse_tokens_equals_one_split_at_any_slice_size(size, text):
-    # a small slice puts the cuts at every offset of a short text; U+0020,
-    # where a cut falls, is drawn more often than the other whitespace
+    # a small slice puts the cuts at every offset of a short text, at
+    # every kind of whitespace; U+0020 is drawn more often than the others
     with mock.patch.object(core, "SLICE_CHARS", size):
         assert parse_trail(text, tokens=True) == split_whole_line(text)
 
 
-def test_parse_tokens_peak_memory_is_a_few_bytes_per_token():
+def test_a_slice_is_cut_at_exactly_the_characters_split_splits_on():
+    # the cut search and str.split must agree on what whitespace is: a cut
+    # at a character split keeps would split a token in two, and a missed
+    # one leaves a line whole
+    every = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in every if core._WHITESPACE.match(c)] == WHITESPACE
+
+
+@pytest.mark.parametrize("separator", [" ", "\t", "\u3000"], ids=["space", "tab", "ideographic-space"])
+def test_parse_tokens_peak_memory_is_a_few_bytes_per_token(separator):
     # beyond its text, a line of 200,000 six-character tokens costs its id
-    # list and its trail at the peak, not a string per token
+    # list and its trail at the peak, not a string per token, whichever
+    # whitespace separates them
     rng = random.Random(1)
     names = [str(100000 + i) for i in range(1000)]
     count = 200000
-    text = " ".join(rng.choice(names) for _ in range(count))
+    text = separator.join(rng.choice(names) for _ in range(count))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -111,12 +121,17 @@ def test_parse_tokens_peak_memory_is_a_few_bytes_per_token():
 
 
 def test_alphabet_validation():
-    assert chars_alphabet(3) == ("0", "1", "2")
-    assert render(chars_alphabet(36), (35, 0, 10)) == "z0a"
-    assert len(chars_alphabet(62)) == 62
-    for size in (-1, 63):
-        with pytest.raises(ValueError):
-            chars_alphabet(size)
+    # up to 62 ids print as one character each, beyond that every id as
+    # its decimal digits, space-separated
+    assert id_names(3) == (("0", "1", "2"), False)
+    names, tokens = id_names(62)
+    assert (len(names), names[-1], tokens) == (62, "Z", False)
+    assert render(names, (35, 0, 10), tokens) == "z0a"
+    names, tokens = id_names(63)
+    assert (names, tokens) == (tuple(map(str, range(63))), True)
+    assert render(names, (0, 62, 0), tokens) == "0 62 0"
+    with pytest.raises(ValueError):
+        id_names(-1)
 
 
 # The graph a trail induces is the multiset of its consecutive pairs; the
