@@ -71,32 +71,29 @@ def _open_input(path: str):
     undecodable bytes become lone surrogates, so ``check`` can reject them
     with a line number.  Stdin is read as UTF-8 whatever the locale or
     ``PYTHONIOENCODING`` says, so the same bytes get the same verdicts
-    from a pipe as from a file."""
+    from a pipe as from a file.  The ``utf-8-sig`` codec drops a U+FEFF
+    that starts the bytes, a byte-order mark; anywhere else it is a
+    symbol."""
     if path == "-":
         if sys.stdin is None:  # started with stdin closed, as `<&-` does
             raise OSError("standard input is closed")
         if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+            sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape")
         return contextlib.nullcontext(sys.stdin)
-    return open(path, encoding="utf-8", errors="surrogateescape")
+    return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
 
 def _lines(stream):
     """The stream's lines one at a time, split as ``str.splitlines`` splits
     the whole text: each chunk the stream yields ends at a ``\n``, so no
-    line ending straddles two chunks.  A U+FEFF that starts the input is a
-    byte-order mark, not a symbol; anywhere else it is a symbol.
+    line ending straddles two chunks.
 
     A chunk is dropped once it is split, and a line once it is handed out,
     so a line is held once, and only by the caller."""
-    chunks = iter(stream)
-    rest = map(str.splitlines, chunks)
-    lines = next(chunks, "").removeprefix("\ufeff").splitlines()
-    while lines is not None:
+    for lines in map(str.splitlines, stream):
         lines.reverse()
         while lines:
             yield lines.pop()
-        lines = next(rest, None)
 
 
 def _witness(trail, rejected_at: int, names: tuple[str, ...], tokens: bool) -> dict:

@@ -3,7 +3,7 @@
 A trail is a plain tuple of dense integer vertex ids.  Token names exist
 only at the I/O boundary, where each decision has one rule: parsing takes
 every character :meth:`str.split` splits on as a separator, :func:`render`
-writes ids in a tuple of names, and :func:`id_names` names the ids of a
+writes ids in a sequence of names, and :func:`id_names` names the ids of a
 size for every command that prints them; everything downstream works on
 ids 0..m-1.  An alphabet is the tuple of its names, the name of id ``i``
 at index ``i``, so its size is its length.  The graph a trail induces
@@ -35,21 +35,25 @@ class TrailParseError(ValueError):
     """Input text could not be parsed into a trail."""
 
 
-def render(names: tuple[str, ...], trail: Trail, tokens: bool = False) -> str:
-    """The trail in the given names, space-separated in tokens mode."""
+def render(names: tuple[str, ...] | str | range, trail: Trail, tokens: bool = False) -> str:
+    """The trail in the given names, space-separated in tokens mode; each
+    name prints as its ``str``, so ``range(m)`` names every id by its
+    decimal digits."""
     sep = " " if tokens else ""
-    return sep.join([names[s] for s in trail])
+    return sep.join([str(names[s]) for s in trail])
 
 
-def id_names(size: int) -> tuple[tuple[str, ...], bool]:
+def id_names(size: int) -> tuple[str | range, bool]:
     """The names printed for the ids 0..size-1, and whether they print as
     tokens (for :func:`render`): up to 62 ids, one character each, 0-9,
-    then a-z, then A-Z; beyond that every id as its decimal digits."""
+    then a-z, then A-Z, as the string of those characters; beyond that
+    ``range(size)``, every id as its decimal digits.  Neither builds a
+    name per id, so only the ids :func:`render` prints are named."""
     if size < 0:
         raise ValueError("alphabet size must be non-negative")
     if size <= len(DEFAULT_CHARS):
-        return tuple(DEFAULT_CHARS[:size]), False
-    return tuple(map(str, range(size))), True
+        return DEFAULT_CHARS[:size], False
+    return range(size), True
 
 
 def _slices(text: str):

@@ -78,17 +78,19 @@ class LiveSet:
 
     ``awaits`` maps each mark of the ``await`` states live in both
     grammars to the index of its last occurrence, and ``seen`` maps every
-    other symbol read the same way, in the order of that index, so
-    ``last`` is its final key.  An awaited mark that recurs stops the run,
-    so until then it keeps its index and stays out of ``seen``; the step
-    that stops the run puts the recurring mark back in ``seen`` with its
-    new index, and ``awaits`` keeps the old one.  ``pairs[a]`` maps each
-    follower ``c`` of ``a`` to ``pos``, the index of the first ``c`` read
-    right after an ``a``, in the order of ``pos``; the states
-    ``span(a, c, b)`` are live for every ``b`` whose last occurrence is at
-    ``pos`` or later, and in ``amended`` mode for ``b == a``.  Each of
-    those dicts is replaced, never changed, when a pair is added, so a
-    shallow :meth:`copy` is independent of its source.
+    other symbol read the same way, in the order of that index.  The
+    symbol read last is always ``seen``'s final key, at index ``n - 1``
+    after ``n`` symbols, so ``last`` and ``n`` are read off it and not
+    stored.  An awaited mark that recurs stops the run, so until then it
+    keeps its index and stays out of ``seen``; the step that stops the
+    run puts the recurring mark back in ``seen`` with its new index, and
+    ``awaits`` keeps the old one.  ``pairs[a]`` maps each follower ``c``
+    of ``a`` to ``pos``, the index of the first ``c`` read right after an
+    ``a``, in the order of ``pos``; the states ``span(a, c, b)`` are live
+    for every ``b`` whose last occurrence is at ``pos`` or later, and in
+    ``amended`` mode for ``b == a``.  Each of those dicts is replaced,
+    never changed, when a pair is added, so a shallow :meth:`copy` is
+    independent of its source.
 
     ``prev`` is the index of the occurrence of ``last`` before the final
     one, ``-1`` if none.  The states ``branch(c, b)`` are read off
@@ -102,7 +104,7 @@ class LiveSet:
     ``amended``.  States compare equal when all their fields do.
     """
 
-    __slots__ = ("seen", "pairs", "awaits", "anchors", "strict", "amended", "last", "prev", "n")
+    __slots__ = ("seen", "pairs", "awaits", "anchors", "strict", "amended", "prev")
 
     def __init__(self):
         self.seen: dict[int, int] = {}
@@ -110,9 +112,7 @@ class LiveSet:
         self.awaits: dict[int, int] = {}
         self.anchors: set[int] = set()
         self.strict = self.amended = False
-        self.last: int | None = None
         self.prev = -1
-        self.n = 0
 
     def copy(self) -> "LiveSet":
         twin = LiveSet.__new__(LiveSet)
@@ -122,9 +122,7 @@ class LiveSet:
         twin.anchors = self.anchors.copy()
         twin.strict = self.strict
         twin.amended = self.amended
-        twin.last = self.last
         twin.prev = self.prev
-        twin.n = self.n
         return twin
 
     def _fields(self):
@@ -168,7 +166,10 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> b
             raise ValueError(f"symbol {symbol} out of range for alphabet size {size}")
     live = LiveSet() if live is None else live
     seen, pairs, awaits, anchors = live.seen, live.pairs, live.awaits, live.anchors
-    strict, amended, last, prev, n = live.strict, live.amended, live.last, live.prev, live.n
+    strict, amended, prev = live.strict, live.amended, live.prev
+    # the symbol read last is seen's final key, at index n - 1
+    last, n = next(reversed(seen.items()), (None, -1))
+    n += 1
     for symbol in trail:
         if strict:
             break
@@ -209,5 +210,5 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> b
         seen[symbol] = n
         last = symbol
         n += 1
-    live.strict, live.amended, live.last, live.prev, live.n = strict, amended, last, prev, n
+    live.strict, live.amended, live.prev = strict, amended, prev
     return amended if nfa.mode == "amended" else strict

@@ -77,8 +77,6 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
         raise ValueError("alphabet size must be at least 1")
     amended = build_grammar_nfa(size, "amended")
     report = CrosscheckReport()
-    # each string is its parent plus one of these; built once per sweep
-    singles = [(symbol,) for symbol in range(size)]
     spent_automaton = spent_oracle = spent_scan = spent_amended = 0.0
     # first-occurrence pattern -> whether the first word with that
     # pattern is not its graph's unique trail, by the oracle
@@ -88,6 +86,9 @@ def cross_validate(size: int, max_len: int) -> CrosscheckReport:
     # first: at most size entries per length, so no level of the universe
     # is held at once
     stack = [((), (), LiveSet())] if max_len >= 1 else []
+    # each string is its parent plus one of these; built once, and only
+    # for a sweep that checks some string
+    singles = [(symbol,) for symbol in range(size)] if stack else []
     while stack:
         prefix, prefix_pattern, prefix_live = stack.pop()
         report.checked += size

@@ -1,8 +1,8 @@
 """What only the tests use: the arcs of a trail's graph, the O(n⁴) list of
 every site, the grammar NFA's rule, its states and its set-based
-simulation, the explicit states of a factored live set, the acceptance
-test on an automaton state and the checked shift lemma.  The package never
-calls them.
+simulation, the explicit states of a factored live set and the last
+symbol and length read off it, the acceptance test on an automaton state
+and the checked shift lemma.  The package never calls them.
 
 Import it the way the tests import ``conftest``:
 ``from reference import all_sites``.
@@ -103,6 +103,13 @@ def successors(nfa: GrammarNFA, state: State, symbol: int) -> set:
     return found
 
 
+def last_read(live: LiveSet) -> tuple:
+    """The symbol a live set read last and how many symbols it read, off
+    ``seen``'s final entry: ``(None, 0)`` before the first symbol."""
+    last, index = next(reversed(live.seen.items()), (None, -1))
+    return last, index + 1
+
+
 def expand(nfa: GrammarNFA, live: LiveSet) -> set:
     """The states a factored live set stands for in ``nfa.mode``, listed
     one by one."""
@@ -113,9 +120,9 @@ def expand(nfa: GrammarNFA, live: LiveSet) -> set:
     states.update(("await", b) for b in live.awaits)
     if amended:
         states.update(("await", b) for b in live.anchors)
-    if not live.n:
+    d, n = last_read(live)
+    if not n:
         return states
-    d = live.last
     states.add(("anchor", d))
     # every symbol read, at its last occurrence; an awaited mark is in
     # seen too only at the step that stopped the run, with its new index
@@ -128,7 +135,7 @@ def expand(nfa: GrammarNFA, live: LiveSet) -> set:
             states.update(("span", a, c, b) for b in marks)
     for c, pos in live.pairs.get(d, {}).items():
         marks = {b for b, at in seen.items() if at >= pos and b != d}
-        if amended or live.prev >= pos or pos == live.n - 1:
+        if amended or live.prev >= pos or pos == n - 1:
             marks.add(d)
         states.update(("branch", c, b) for b in marks)
     return states

@@ -729,6 +729,24 @@ def test_crosscheck_alphabet_beyond_the_character_names(monkeypatch, capsys):
     assert "four-way agreement: ok" in lines
 
 
+def test_crosscheck_of_no_strings_costs_no_memory_per_symbol(monkeypatch, capsys):
+    # a sweep that checks no string builds nothing per symbol: neither its
+    # one-symbol extensions nor the names of the ids it never prints
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["crosscheck", "--alphabet-size", "1000000", "--max-len", "0"], monkeypatch, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_OK, (
+        "checked 0 strings over alphabet size 1000000, lengths 1..0\n"
+        "four-way agreement: ok\n"
+        "strict grammar soundness: ok\n"
+        "strict grammar completeness gaps: 0\n"
+    ))
+    assert peak < 2**20
+
+
 def test_crosscheck_prints_the_benchmark_sweep_exactly(monkeypatch, capsys):
     # the crosscheck workload's command; its stdout is pinned line for line
     code, out, _ = run_cli(

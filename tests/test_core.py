@@ -123,15 +123,29 @@ def test_parse_tokens_peak_memory_is_a_few_bytes_per_token(separator):
 def test_alphabet_validation():
     # up to 62 ids print as one character each, beyond that every id as
     # its decimal digits, space-separated
-    assert id_names(3) == (("0", "1", "2"), False)
+    assert id_names(3) == ("012", False)
     names, tokens = id_names(62)
     assert (len(names), names[-1], tokens) == (62, "Z", False)
     assert render(names, (35, 0, 10), tokens) == "z0a"
     names, tokens = id_names(63)
-    assert (names, tokens) == (tuple(map(str, range(63))), True)
+    assert (names, tokens) == (range(63), True)
     assert render(names, (0, 62, 0), tokens) == "0 62 0"
     with pytest.raises(ValueError):
         id_names(-1)
+
+
+def test_naming_a_million_ids_builds_no_name_per_id():
+    # only the ids a word prints are named, so a large alphabet costs
+    # nothing until a word is rendered, and then only that word's names
+    tracemalloc.start()
+    try:
+        names, tokens = id_names(10**6)
+        shown = render(names, (0, 999_999, 0), tokens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert shown == "0 999999 0"
+    assert peak < 2**20
 
 
 # The graph a trail induces is the multiset of its consecutive pairs; the

@@ -10,7 +10,7 @@ from unitrail.grammar import LiveSet, build_grammar_nfa, nfa_accepts
 from unitrail.transposition import has_proper_transposition
 
 from conftest import all_strings
-from reference import ACCEPT, START, all_states, expand, simulate, step, successors
+from reference import ACCEPT, START, all_states, expand, last_read, simulate, step, successors
 
 
 def _state_label(state):
@@ -138,7 +138,7 @@ def test_the_factored_live_set_stands_for_the_rule_s_live_set(mode):
         while stack:
             word, live, references = stack.pop()
             words += 1
-            if live.n == len(word):
+            if last_read(live)[1] == len(word):
                 for nfa, reference in zip(grammars, references):
                     assert expand(nfa, live) == reference, (nfa.mode, word)
             else:
@@ -182,7 +182,7 @@ def test_no_follower_dict_before_the_stop_has_more_than_3_entries():
     for mode in ("strict", "amended"):
         live = LiveSet()
         assert nfa_accepts(build_grammar_nfa(5001, mode), star, live)
-        assert (live.strict, live.amended, live.n, len(live.pairs[0])) == (True, True, 7, 3)
+        assert (live.strict, live.amended, last_read(live), len(live.pairs[0])) == (True, True, (0, 7), 3)
 
 
 def test_a_live_set_copy_is_independent_and_compares_by_its_fields():
@@ -198,7 +198,7 @@ def test_a_live_set_copy_is_independent_and_compares_by_its_fields():
                                  ("span", 1, 0, 0), ("branch", 1, 1)}
     assert repr(live) == (
         "LiveSet(seen={1: 1, 0: 2}, pairs={0: {1: 1}, 1: {0: 2}}, awaits={}, anchors=set(), "
-        "strict=False, amended=False, last=0, prev=0, n=3)"
+        "strict=False, amended=False, prev=0)"
     )
     assert LiveSet() == LiveSet() != live
     with pytest.raises(TypeError):

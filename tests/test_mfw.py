@@ -27,6 +27,15 @@ def test_no_forbidden_words_below_length_4():
     assert constructive_mfw(2, 3) == []
 
 
+def test_constructive_mfw_does_no_per_pair_work_when_no_word_fits():
+    # below length 4 no word fits, and a pair whose bound leaves no room
+    # for x or y builds no filler pool: at the pairs' former O(m) symbol
+    # list and pool each, m=300 took seconds
+    start = time.process_time()
+    assert constructive_mfw(300, 3) == []
+    assert time.process_time() - start < 0.05
+
+
 def test_single_symbol_alphabet_has_none():
     assert constructive_mfw(1, 8) == []
     assert brute_mfw(1, 8) == []
