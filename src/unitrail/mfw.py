@@ -60,10 +60,8 @@ def _accepted_words(symbols: list[int], max_len: int, size: int) -> list[Trail]:
 
 def constructive_mfw(size: int, max_len: int) -> list[Trail]:
     """Render ``a x b z a y b`` for every ordered anchor pair (a, b) up to
-    max_len, ``a == b`` giving ``a x a y a``; deduplicated, sorted.  A
-    pair whose length bound leaves no room for x or y gives no word and is
-    skipped before its fillers are built, so a max_len below 4 costs
-    nothing per pair."""
+    max_len, ``a == b`` giving ``a x a y a``; deduplicated, sorted.  Below
+    length 4 there is no word to find, and no pair's fillers are built."""
     if size < 1:
         raise ValueError("alphabet size must be at least 1")
     if max_len < 4:  # no minimal forbidden word is shorter than 0 0 1 0
@@ -72,8 +70,6 @@ def constructive_mfw(size: int, max_len: int) -> list[Trail]:
     for a in range(size):
         for b in range(size):
             budget = max_len - 3 - (a != b)
-            if budget < 1:  # x and y may not both be empty
-                continue
             pool = _accepted_words([s for s in range(size) if s not in (a, b)], budget, size)
             for x in pool:
                 for y in pool:

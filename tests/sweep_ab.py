@@ -5,13 +5,13 @@ tree's ``src`` and times the sweep five times in CPU seconds, keeping the
 best.  Runs go one at a time, and each pair alternates which tree runs
 first, so a drift in the machine's speed falls on both trees alike.
 
-    python tests/sweep_ab.py PARENT CHANGE              # 10 pairs
-    python tests/sweep_ab.py PARENT CHANGE --pairs 20
+    python tests/sweep_ab.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts that each hold ``src/unitrail``.  The
-script prints one line per pair, then the median change-to-parent ratio
-and the number of pairs in which the change was faster.  It exits 1 when
-the two trees report different disagreement, unsound or gap counts.
+script runs 10 pairs and prints one line per pair, then the median
+change-to-parent ratio and the number of pairs in which the change was
+faster.  It exits 1 when the two trees report different disagreement,
+unsound or gap counts.
 
 This script is not a test: pytest collects only ``test_*.py`` files.
 """
@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 SWEEPS = 5
+PAIRS = 10
 
 # one run: the best of SWEEPS sweeps, the module it timed and the counts
 _CHILD = """
@@ -58,10 +59,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="the checkout to compare against")
     parser.add_argument("change", type=Path, help="the checkout being measured")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (default: 10)")
     args = parser.parse_args()
     ratios = []
-    for pair in range(args.pairs):
+    for pair in range(PAIRS):
         # even pairs run the parent first, odd ones the change
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         runs = {name: sweep(getattr(args, name)) for name in order}
