@@ -9,7 +9,12 @@ are provided and must agree:
   the ordered anchor pairs (a, b).  ``a == b`` gives the one-anchor shape
   ``a x a y a``, read as ``b`` being the middle ``a`` and ``z`` empty.
   The filler segments avoid the anchors, are pairwise vertex disjoint,
-  are themselves accepted, and x, y are not both empty.
+  are themselves accepted, and x, y are not both empty.  Its cost is
+  one filler pool per anchor pair that has room for a filler, plus the
+  fillers that fit the length bound: each filler loop walks the pool in
+  length order and stops at the first filler too long.  At m=300, L=4
+  that is 89,700 automaton runs and 269,400 (x, y) pairs for 179,400
+  words; every (x, y) pair of each pool would be 27 million.
 * ``brute_mfw`` runs the automaton on every one-symbol extension of the
   accepted words, walked level by level, so its work follows the sparse
   accepted language rather than all m^L strings: 450 runs at m=2, L=14,
@@ -47,9 +52,7 @@ def _extend(level: list[Trail], symbols: Iterable[int], size: int) -> tuple[list
 
 
 def _accepted_words(symbols: list[int], max_len: int, size: int) -> list[Trail]:
-    """Accepted strings over the given symbols, lengths 0..max_len."""
-    if max_len < 0:
-        return []
+    """Accepted strings over the given symbols, lengths 0..max_len, in length order."""
     level: list[Trail] = [()]
     words = list(level)
     for _ in range(max_len):
@@ -70,14 +73,21 @@ def constructive_mfw(size: int, max_len: int) -> list[Trail]:
     for a in range(size):
         for b in range(size):
             budget = max_len - 3 - (a != b)
+            if budget < 1:  # x and y may not both be empty
+                continue
             pool = _accepted_words([s for s in range(size) if s not in (a, b)], budget, size)
+            # the pool is in length order, so the first filler too long ends its loop
             for x in pool:
                 for y in pool:
-                    if len(x) + len(y) > budget or (not x and not y) or set(x) & set(y):
+                    if len(x) + len(y) > budget:
+                        break
+                    if (not x and not y) or set(x) & set(y):
                         continue
                     room, used = budget - len(x) - len(y), set(x) | set(y)
                     for z in pool if a != b else [()]:
-                        if len(z) > room or not used.isdisjoint(z):
+                        if len(z) > room:
+                            break
+                        if not used.isdisjoint(z):
                             continue
                         middle = (a,) if a == b else (b,) + z + (a,)
                         word = (a,) + x + middle + y + (b,)

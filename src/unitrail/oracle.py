@@ -37,39 +37,38 @@ def enumerate_trails(trail: Trail) -> Iterator[Trail]:
 
 def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> Iterator[Trail]:
     """The search behind :func:`enumerate_trails`, over the arc multiset
-    ``remaining`` whose trails have ``length`` symbols.  A generator
-    function runs nothing until its first trail is asked for, so the
-    checks and the count stay in :func:`enumerate_trails`, which runs
-    them at the call."""
-    if length == 1:
-        yield (start,)
-        return
-    successors: dict[int, list[int]] = {}
-    for u, v in sorted(remaining):
-        successors.setdefault(u, []).append(v)
+    ``remaining`` whose trails have ``length`` symbols.
+
+    ``path`` and ``frames`` always have the same length: one frame per
+    path vertex, an iterator over the arcs that leave that vertex, in
+    ascending order.  Each pass of the loop yields the path first if it
+    holds ``length`` symbols, then enters the top frame's next arc with a
+    remaining count, or, once that frame is exhausted, pops it with its
+    vertex and gives back the arc that led there.  A generator function
+    runs nothing until its first trail is asked for, so the checks and
+    the count stay in :func:`enumerate_trails`, which runs them at the
+    call.
+    """
+    successors: dict[int, list[tuple[int, int]]] = {}
+    for arc in sorted(remaining):
+        successors.setdefault(arc[0], []).append(arc)
 
     path = [start]
-    # One frame per path position: an iterator over candidate next vertices.
     frames = [iter(successors.get(start, ()))]
-    while frames:
-        frame = frames[-1]
-        for nxt in frame:
-            arc = (path[-1], nxt)
-            if not remaining[arc]:
-                continue
-            remaining[arc] -= 1
-            path.append(nxt)
-            if len(path) < length:
-                frames.append(iter(successors.get(nxt, ())))
-                break
+    while path:
+        if len(path) == length:
             yield tuple(path)
-            path.pop()
-            remaining[arc] += 1
+        for arc in frames[-1]:
+            if remaining[arc]:
+                remaining[arc] -= 1
+                path.append(arc[1])
+                frames.append(iter(successors.get(arc[1], ())))
+                break
         else:
             frames.pop()
-            if frames:
-                nxt = path.pop()
-                remaining[(path[-1], nxt)] += 1
+            head = path.pop()
+            if path:
+                remaining[(path[-1], head)] += 1
 
 
 def is_unique_trail(trail: Trail) -> bool:

@@ -1,3 +1,4 @@
+import collections
 import inspect
 import itertools
 import random
@@ -77,6 +78,19 @@ def test_every_string_appears_in_its_own_enumeration():
         for other in found:
             assert arcs(other) == arcs(word)
             assert other[0] == word[0]
+
+
+def test_every_trail_of_the_graph_is_found():
+    # the strings with the same first symbol and the same arc multiset are
+    # exactly the trails of one graph, so each group is the whole answer
+    for size, max_len in ((2, 10), (3, 7)):
+        groups = collections.defaultdict(list)
+        for word in all_strings(size, max_len):
+            groups[word[0], tuple(sorted(arcs(word).items()))].append(word)
+        for group in groups.values():
+            group.sort()
+            for word in group:
+                assert list(enumerate_trails(word)) == group, word
 
 
 def test_trail_count_survives_arc_reversal():
