@@ -22,9 +22,11 @@ graph exactly when it has no proper transposition.
 Two functions answer that question, on purpose apart.  The witness,
 :func:`find_proper_site`, reads a proper site in O(n) from the step at
 which the automaton first blackened the vertex it rejects on.  The
-independent classifier, :func:`has_proper_transposition`, is an O(n²)
+independent classifier, :func:`has_proper_transposition`, is a linear
 scan that uses no automaton and returns only whether a proper site
-exists; the tests hold both to an O(n⁴) reference that lists every site.
+exists: one pass with the first occurrence of each vertex and a stack of
+the positions whose vertex occurs again.  The tests hold both to an
+O(n⁴) reference that lists every site.
 """
 
 from typing import NamedTuple
@@ -101,7 +103,7 @@ def _last_before(trail: Trail, symbol: int, end: int) -> int:
 
 
 def has_proper_transposition(trail: Trail) -> bool:
-    """Does any proper transposition rearrange this trail?  O(n²).
+    """Does any proper transposition rearrange this trail?  O(n).
 
     The classifier the harness checks the automaton against, so it uses
     none of it: a scan for two occurrences ``i < j`` of a vertex with
@@ -110,25 +112,35 @@ def has_proper_transposition(trail: Trail) -> bool:
     the anchor's second one at ``j``, and the later occurrence of a vertex
     of ``[i, j)`` (a third anchor or a second of another vertex).  So a
     trail with at most one repeat has no proper site and the scan returns
-    at once.  Both anchors need a follower, so ``j <= n - 2``; and
-    ``i = n - 3`` never succeeds: it forces ``j = n - 2``, and the only
-    vertex of ``[i, j)``, the anchor, must occur again at ``n - 1``, so
-    the last three symbols are ``a a a`` and both followers are ``a``.
+    at once.
+
+    Otherwise one pass tries each ``j`` that has a follower as the second
+    anchor.  A wider window only helps, so ``i`` is the first occurrence
+    of ``trail[j]``.  When that occurrence has the follower ``trail[j + 1]``
+    too, no site ends at ``j`` that an earlier step missed: an occurrence
+    ``o`` between them with another follower made ``(i, o)`` a proper site,
+    since the anchor at ``i`` occurs again at ``j``, and the step at ``o``
+    returned.  Else the window works exactly when ``k >= i``, with ``k``
+    the largest position below ``j`` whose vertex occurs again after
+    ``j``.  ``k`` is the top of a stack of positions: each step pops the
+    top while its vertex last occurs at or before ``j`` (a popped position
+    stays dead, as ``j`` only grows), checks, and pushes ``j``; so each
+    position is popped at most once.  The stack starts at -1, the last
+    symbol's position counted from the end: that symbol occurs after every
+    ``j``, so -1 is never popped and lies below every ``i``.
     """
     n = len(trail)
     if len(set(trail)) >= n - 1:
         return False
-    last_seen = {symbol: idx for idx, symbol in enumerate(trail)}
-    for i in range(n - 3):
-        anchor = trail[i]
-        follower = trail[i + 1]
-        reach = -1
-        for j in range(i + 1, n - 1):
-            seen = last_seen[trail[j - 1]]
-            if seen > reach:
-                reach = seen
-            if trail[j] == anchor and trail[j + 1] != follower and reach > j:
-                return True
+    last = {symbol: idx for idx, symbol in enumerate(trail)}
+    first, stack = {}, [-1]
+    for j, (anchor, follower) in enumerate(zip(trail, trail[1:])):
+        while last[trail[stack[-1]]] <= j:
+            stack.pop()
+        i = first.setdefault(anchor, j)
+        if trail[i + 1] != follower and stack[-1] >= i:
+            return True
+        stack.append(j)
     return False
 
 

@@ -7,6 +7,19 @@ def all_strings(size, max_len, min_len=1):
         yield from itertools.product(range(size), repeat=length)
 
 
+def unique_walk(rng, length):
+    """A walk that is the unique trail of its graph: it goes round cycles
+    of fresh vertices, each a few times, and leaves each part way round by
+    a new arc to a fresh vertex, never to come back."""
+    fresh = itertools.count(1)
+    walk = [0]
+    while len(walk) < length:
+        cycle = [walk[-1]] + [next(fresh) for _ in range(rng.randint(0, 11))]
+        walk += (cycle[1:] + cycle[:1]) * rng.randint(1, 6) + cycle[1 : rng.randrange(len(cycle)) + 1]
+        walk.append(next(fresh))
+    return tuple(walk[:length])
+
+
 def matches_binary_mfw(trail):
     """Membership in the four binary families, checked by direct scan."""
     for symbol in trail:

@@ -1,17 +1,19 @@
 """Time the exhaustive sweep ``cross_validate(10, 4)`` of two source trees.
 
 Each run is a fresh child process that imports ``unitrail`` from one
-tree's ``src`` and times the sweep five times in CPU seconds, keeping the
-best.  Runs go one at a time, and each pair alternates which tree runs
-first, so a drift in the machine's speed falls on both trees alike.
+tree's ``src`` and times the sweep 20 times in CPU seconds.  Runs go one
+at a time, and each pair alternates which tree runs first, so a drift in
+the machine's speed falls on both trees alike.  Within a pair, each of
+the change's sweeps is divided by the parent's sweep of the same number,
+so every sweep gives one ratio.
 
     python tests/sweep_ab.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts that each hold ``src/unitrail``.  The
-script runs 10 pairs and prints one line per pair, then the median
-change-to-parent ratio and the number of pairs in which the change was
-faster.  It exits 1 when the two trees report different disagreement,
-unsound or gap counts.
+script runs 10 pairs and prints one line per pair with the median of
+its ratios, then the median and quartiles of all 200 ratios and the
+number of pairs whose median ratio is below 1.  It exits 1 when the two
+trees report different disagreement, unsound or gap counts.
 
 This script is not a test: pytest collects only ``test_*.py`` files.
 """
@@ -23,22 +25,22 @@ import subprocess
 import sys
 from pathlib import Path
 
-SWEEPS = 5
+SWEEPS = 20
 PAIRS = 10
 
-# one run: the best of SWEEPS sweeps, the module it timed and the counts
+# one run: the seconds of each of SWEEPS sweeps, the module it timed and the counts
 _CHILD = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1])
 import unitrail
 from unitrail.harness import cross_validate
-best = float("inf")
+seconds = []
 for _ in range(int(sys.argv[2])):
     start = time.process_time()
     report = cross_validate(10, 4)
-    best = min(best, time.process_time() - start)
+    seconds.append(time.process_time() - start)
 counts = [len(report.disagreements), len(report.strict_unsound), len(report.strict_gaps)]
-print(json.dumps({"module": unitrail.__file__, "seconds": best, "counts": counts}))
+print(json.dumps({"module": unitrail.__file__, "seconds": seconds, "counts": counts}))
 """
 
 
@@ -61,6 +63,7 @@ def main() -> None:
     parser.add_argument("change", type=Path, help="the checkout being measured")
     args = parser.parse_args()
     ratios = []
+    won = 0
     for pair in range(PAIRS):
         # even pairs run the parent first, odd ones the change
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -70,12 +73,15 @@ def main() -> None:
             print(f"counts differ: parent {parent['counts']}, change {change['counts']}"
                   " (disagreements, unsound, gaps)")
             sys.exit(1)
-        ratios.append(change["seconds"] / parent["seconds"])
-        print(f"pair {pair + 1}: parent {parent['seconds']:.3f}s change {change['seconds']:.3f}s"
-              f" ratio {ratios[-1]:.3f} ({order[0]} first)", flush=True)
-    won = sum(ratio < 1 for ratio in ratios)
-    print(f"median change/parent {statistics.median(ratios):.3f} over {len(ratios)} pairs;"
-          f" the change was faster in {won}")
+        pair_ratios = [mine / theirs for mine, theirs in zip(change["seconds"], parent["seconds"])]
+        ratios += pair_ratios
+        won += statistics.median(pair_ratios) < 1
+        print(f"pair {pair + 1}: parent {statistics.median(parent['seconds']):.4f}s"
+              f" change {statistics.median(change['seconds']):.4f}s"
+              f" ratio {statistics.median(pair_ratios):.3f} ({order[0]} first)", flush=True)
+    low, middle, high = statistics.quantiles(ratios, n=4)
+    print(f"median change/parent {middle:.3f}, quartiles {low:.3f} to {high:.3f},"
+          f" over {len(ratios)} sweeps in {PAIRS} pairs; the change was faster in {won} pairs")
 
 
 if __name__ == "__main__":

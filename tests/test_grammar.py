@@ -9,7 +9,7 @@ from unitrail.automaton import run
 from unitrail.grammar import LiveSet, build_grammar_nfa, nfa_accepts
 from unitrail.transposition import has_proper_transposition
 
-from conftest import all_strings
+from conftest import all_strings, unique_walk
 from reference import ACCEPT, START, all_states, expand, last_read, simulate, step, successors
 
 
@@ -276,19 +276,6 @@ def test_amended_matches_the_scan_at_alphabet_size_64():
     assert [nfa_accepts(nfa, word) for word in words] == [True, True, False, False, False, False]
 
 
-def unique_walk(rng, length):
-    """A walk that is the unique trail of its graph: it goes round cycles
-    of fresh vertices, each a few times, and leaves each part way round by
-    a new arc to a fresh vertex, never to come back."""
-    fresh = itertools.count(1)
-    walk = [0]
-    while len(walk) < length:
-        cycle = [walk[-1]] + [next(fresh) for _ in range(rng.randint(0, 11))]
-        walk += (cycle[1:] + cycle[:1]) * rng.randint(1, 6) + cycle[1 : rng.randrange(len(cycle)) + 1]
-        walk.append(next(fresh))
-    return tuple(walk[:length])
-
-
 def nested_branches(k):
     """``a1 x1 .. ak xk F ak yk .. a1 y1``, where ``F`` is 2k fresh symbols
     and every ``x`` and ``y`` is fresh too, so the trail is unique.  Each
@@ -301,22 +288,35 @@ def nested_branches(k):
 
 
 def test_the_grammars_agree_with_the_automaton_on_long_trails():
-    # the amended grammar accepts exactly the trails the automaton
-    # rejects, and the strict one accepts none that the automaton accepts
+    # the scan and the amended grammar call a trail non-unique exactly when
+    # the automaton rejects it, each first on the prefix the automaton
+    # first rejects; the strict grammar accepts no trail the automaton
+    # accepts; and reversing or relabelling a trail keeps every verdict
     rng = random.Random(2005)
     trails = [tuple(rng.randrange(size) for _ in range(rng.randint(5, 400)))
               for size in (rng.randint(2, 40) for _ in range(150))]
-    trails += [unique_walk(rng, length) for length in (100, 250, 500, 1000, 2000)]
+    walks = [unique_walk(rng, length) for length in (100, 250, 500, 1000, 2000)]
+    # a walk that returns to its start could make its first cycle's laps
+    # after the return instead, so only its last symbol is rejected
+    trails += walks + [walk + walk[:1] for walk in walks]
+    assert all(run(walk + walk[:1], max(walk) + 1).first_rejection == len(walk) + 1 for walk in walks)
     doubled = tuple(vertex for vertex in range(1000) for _ in (0, 1))
     trails += [doubled, doubled[::-1], tuple(itertools.islice(itertools.cycle(range(1024)), 10_000))]
     trails.append(nested_branches(500))
     unique = 0
     for trail in trails:
         size = max(trail) + 1
-        accepted = run(trail, size).accepted
-        unique += accepted
-        assert nfa_accepts(build_grammar_nfa(size, "amended"), trail) == (not accepted), trail
-        assert not (accepted and nfa_accepts(build_grammar_nfa(size, "strict"), trail)), trail
+        amended, strict = build_grammar_nfa(size, "amended"), build_grammar_nfa(size, "strict")
+        labels = rng.sample(range(size), size)
+        r = run(trail, size).first_rejection
+        unique += r is None
+        for other in (trail, trail[::-1], tuple(labels[symbol] for symbol in trail)):
+            assert run(other, size).accepted == (r is None), other
+            assert has_proper_transposition(other) == nfa_accepts(amended, other) == (r is not None), other
+            assert not (r is None and nfa_accepts(strict, other)), other
+        if r is not None:
+            assert not has_proper_transposition(trail[: r - 1]) and not nfa_accepts(amended, trail[: r - 1]), trail
+            assert has_proper_transposition(trail[:r]) and nfa_accepts(amended, trail[:r]), trail
     assert unique >= 8
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,7 @@ from unitrail.transposition import (
     validate_site,
 )
 
-from conftest import all_strings
+from conftest import all_strings, unique_walk
 from reference import all_sites, arcs, is_proper, properize
 
 
@@ -183,19 +184,34 @@ def test_witness_holds_to_scan_and_reference_at_full_range():
 
 
 def test_witness_and_scan_on_random_trails():
+    # lengths spread evenly on a log scale up to 3,000 symbols, and half
+    # the words over up to 4,000 symbols, so that the first rejection can
+    # come hundreds of symbols in
     rng = random.Random(20051)
-    for _ in range(3000):
-        size = rng.randint(1, 40)
-        word = tuple(rng.randrange(size) for _ in range(rng.randint(1, 400)))
+    for trial in range(2000):
+        size = rng.randint(1, 4000 if trial % 2 else 40)
+        word = tuple(rng.choices(range(size), k=round(3000 ** rng.random())))
         r = run(word, size).first_rejection
         site = find_proper_site(word)
         if r is None:
             assert site is None and not has_proper_transposition(word), word
             continue
-        assert site is not None, word
+        assert site is not None and has_proper_transposition(word), word
         assert_witness_fits(word, site, r)
         assert not has_proper_transposition(word[: r - 1]), word
         assert has_proper_transposition(word[:r]), word
+
+
+def test_scan_takes_linear_time_on_long_unique_trails():
+    # a unique trail has no site, so the scan reads it to the end; the
+    # nested loop it replaced took 2-4 s of CPU on each of these
+    doubled = tuple(vertex for vertex in range(4000) for _ in (0, 1))
+    for trail in (doubled, doubled[::-1], unique_walk(random.Random(8000), 8000)):
+        assert run(trail, max(trail) + 1).accepted
+        start = time.process_time()
+        assert not has_proper_transposition(trail)
+        spent = time.process_time() - start
+        assert spent < 0.25, f"{spent:.2f} s of CPU on {len(trail)} symbols"
 
 
 def test_witness_on_long_walks_rejected_late():
