@@ -113,8 +113,10 @@ def _feed(
     ``state.last`` however the loop ends, a raised error included.
     """
     size = len(black)
+    consumed = 0
     try:
-        for consumed, symbol in enumerate(trail, start=1):
+        for symbol in trail:
+            consumed += 1
             if not 0 <= symbol < size:
                 raise ValueError(f"symbol {symbol} out of range for alphabet size {size}")
             chained = follower[prev]

@@ -167,9 +167,14 @@ def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> b
     live = LiveSet() if live is None else live
     seen, pairs, awaits, anchors = live.seen, live.pairs, live.awaits, live.anchors
     strict, amended, prev = live.strict, live.amended, live.prev
-    # the symbol read last is seen's final key, at index n - 1
-    last, n = next(reversed(seen.items()), (None, -1))
-    n += 1
+    # the symbol read last is seen's final key, at index n - 1; popping the
+    # entry and putting it straight back at the same end reads it without
+    # building an iterator, and leaves seen's order as it was
+    last, n = None, 0
+    if seen:
+        last, n = seen.popitem()
+        seen[last] = n
+        n += 1
     for symbol in trail:
         if strict:
             break

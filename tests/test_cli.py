@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import re
 import select
 import shlex
 import subprocess
@@ -230,6 +231,24 @@ def test_a_process_started_with_stderr_closed_keeps_its_exit_code(argv, expected
     assert (done.returncode, done.stdout) == expected
 
 
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_the_process_ends_with_all_its_output_written(stdout, tmp_path):
+    # entry ends the process with os._exit, which flushes nothing; a file
+    # is block-buffered, so there the whole output waits for entry's flush
+    source = str(Path(unitrail.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    argv = [sys.executable, "-m", "unitrail", "crosscheck", "--alphabet-size", "2", "--max-len", "3"]
+    out = tmp_path / "out.txt"
+    with out.open("wb") as sink:
+        done = subprocess.run(
+            argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE if stdout == "pipe" else sink,
+            stderr=subprocess.PIPE, env={**env, "PYTHONPATH": source}, timeout=60,
+        )
+    printed = done.stdout if stdout == "pipe" else out.read_bytes()
+    assert (done.returncode, printed.decode()) == (EXIT_OK, _BINARY_SWEEP)
+    assert re.fullmatch(rb"timing: [^\n]*\n", done.stderr), done.stderr
+
+
 class _ClosedStream(io.StringIO):
     """A stream over a closed file descriptor: every write fails."""
 
@@ -251,19 +270,72 @@ def test_a_missing_or_closed_stderr_changes_neither_stdout_nor_the_exit_code(arg
     assert (code, capsys.readouterr().out) == expected
 
 
-def test_entry_freezes_the_heap_once_before_main_and_exits_with_its_code(monkeypatch):
-    # the recording stand-ins keep the test process's collector untouched
+class _Exited(Exception):
+    """Raised in place of os._exit, which would end the test process."""
+
+
+def _broken_pipe():
+    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def _record_entry(monkeypatch, main_does, stdout_flush_does=lambda: None):
+    """Run entry() with gc.freeze, main, both output streams and os._exit
+    replaced by recorders; the calls they saw, in order."""
     calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+
+    class Stream(io.StringIO):
+        def __init__(self, name, flush_does):
+            super().__init__()
+            self.name, self.flush_does = name, flush_does
+
+        def flush(self):
+            calls.append(f"flush {self.name}")
+            self.flush_does()
+
+    def fake_exit(code):
+        calls.append(("_exit", code))
+        raise _Exited
 
     def fake_main(argv=None):
         calls.append(("main", argv))
-        return EXIT_MISMATCH
+        return main_does()
 
+    # the recording stand-ins keep the test process's collector untouched
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr("unitrail.cli.main", fake_main)
-    with pytest.raises(SystemExit) as exited:
+    monkeypatch.setattr("unitrail.cli.os._exit", fake_exit)
+    monkeypatch.setattr("sys.stdout", Stream("stdout", stdout_flush_does))
+    monkeypatch.setattr("sys.stderr", Stream("stderr", lambda: None))
+    with pytest.raises(_Exited):
         entry()
-    assert (calls, exited.value.code) == (["freeze", ("main", None)], EXIT_MISMATCH)
+    return calls
+
+
+def test_entry_freezes_the_heap_once_before_main_and_exits_with_its_code(monkeypatch):
+    calls = _record_entry(monkeypatch, lambda: EXIT_MISMATCH)
+    assert calls == ["freeze", ("main", None), "flush stdout", "flush stderr", ("_exit", EXIT_MISMATCH)]
+
+
+def test_entry_exits_1_without_flushing_stdout_again_when_the_reader_closed_the_pipe(monkeypatch):
+    # the pipe breaks in a write inside main, or in entry's own flush
+    calls = _record_entry(monkeypatch, _broken_pipe)
+    assert calls == ["freeze", ("main", None), "flush stderr", ("_exit", EXIT_PIPE)]
+    calls = _record_entry(monkeypatch, lambda: EXIT_OK, stdout_flush_does=_broken_pipe)
+    assert calls == ["freeze", ("main", None), "flush stdout", "flush stderr", ("_exit", EXIT_PIPE)]
+
+
+@pytest.mark.parametrize("stderr", ["none", "closed"])
+def test_entry_exits_with_mains_code_whatever_became_of_stderr(stderr, monkeypatch):
+    closed = io.StringIO()
+    closed.close()  # its flush raises ValueError
+    codes = []
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    monkeypatch.setattr("unitrail.cli.main", lambda: EXIT_MISMATCH)
+    monkeypatch.setattr("unitrail.cli.os._exit", codes.append)
+    monkeypatch.setattr("sys.stdout", io.StringIO())
+    monkeypatch.setattr("sys.stderr", None if stderr == "none" else closed)
+    entry()
+    assert codes == [EXIT_MISMATCH]
 
 
 def test_main_leaves_the_collector_alone(monkeypatch, capsys):
@@ -555,7 +627,7 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(command, tmp_path
         assert proc.stdout.readline() == f"{first}\n".encode()
         proc.stdout.close()
         assert proc.wait(timeout=30) == EXIT_PIPE
-        assert b"Traceback" not in proc.stderr.read()
+        assert proc.stderr.read() == b""
     finally:
         proc.kill()
         proc.wait()

@@ -185,6 +185,30 @@ def test_no_follower_dict_before_the_stop_has_more_than_3_entries():
         assert (live.strict, live.amended, last_read(live), len(live.pairs[0])) == (True, True, (0, 7), 3)
 
 
+@pytest.mark.parametrize("mode", ["strict", "amended"])
+def test_seen_keeps_its_marks_in_the_order_of_their_indices(mode):
+    # nfa_accepts reads the symbol read last off seen's final entry, which
+    # it pops and puts back.  LiveSet.__eq__ compares dicts, which ignore
+    # order, so this test pins it: after every one-symbol step the indices
+    # increase along seen's keys, and an empty trail leaves seen's items,
+    # order included, as they were
+    for size, max_len in ((3, 7), (4, 6)):
+        nfa = build_grammar_nfa(size, mode)
+        stack = [(0, LiveSet())]
+        while stack:
+            length, live = stack.pop()
+            items = list(live.seen.items())
+            indices = [at for _, at in items]
+            assert indices == sorted(set(indices)), items
+            nfa_accepts(nfa, (), live)
+            assert list(live.seen.items()) == items
+            if length < max_len:
+                for symbol in range(size):
+                    child = live.copy()
+                    nfa_accepts(nfa, (symbol,), child)
+                    stack.append((length + 1, child))
+
+
 def test_a_live_set_copy_is_independent_and_compares_by_its_fields():
     nfa = build_grammar_nfa(3, "strict")
     live = LiveSet()
