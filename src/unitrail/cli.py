@@ -21,15 +21,23 @@ crosscheck timing summary goes to stderr.  Every stderr line goes through
 ``_stderr``, which drops it when stderr is None or cannot be written (as
 ``2>&-`` leaves it), so no exit code depends on stderr.
 
-``entry``, the process entry point, freezes the start-up heap before it
+The process reads and writes UTF-8 whatever the locale or
+``PYTHONIOENCODING`` says: ``entry`` sets the codecs of stdin
+(``utf-8-sig``, undecodable bytes read as lone surrogates), stdout
+(``utf-8``, strict) and stderr (``utf-8``, ``backslashreplace``), so
+``check`` reads what any command writes.  Undecodable bytes, in an input
+line or in a ``trails`` argument (which Python decodes the same way), are
+rejected by :func:`~unitrail.core.parse_trail` and exit 64.
+
+``entry``, the process entry point, also freezes the start-up heap before it
 calls ``main``: the ~11,700 objects that the interpreter and the imports
 leave tracked are never walked again by a long run's full collections.
 Once ``main`` returns and stdout and stderr are flushed, ``entry`` ends
 the process with ``os._exit``: no interpreter teardown runs, which took
 1.2-2.2 ms a command after the freeze on a 2-CPU x86 machine, and no
 ``atexit`` handler runs; the program registers none.  ``main`` neither
-freezes nor exits, so a library or test caller's collector and process
-are left as they were.
+freezes, sets a stream codec nor exits, so a library or test caller's
+collector, streams and process are left as they were.
 """
 
 import contextlib
@@ -70,18 +78,15 @@ def _usage_error(message: str) -> int:
 
 
 def _open_input(path: str):
-    """The input, a file or stdin, as a UTF-8 text stream in which
-    undecodable bytes become lone surrogates, so ``check`` can reject them
-    with a line number.  Stdin is read as UTF-8 whatever the locale or
-    ``PYTHONIOENCODING`` says, so the same bytes get the same verdicts
-    from a pipe as from a file.  The ``utf-8-sig`` codec drops a U+FEFF
-    that starts the bytes, a byte-order mark; anywhere else it is a
-    symbol."""
+    """The input, a file or stdin, as a text stream.  A file is opened with
+    the codec :func:`entry` gives stdin: ``utf-8-sig``, which drops a
+    U+FEFF that starts the bytes, a byte-order mark (anywhere else it is a
+    symbol), with undecodable bytes read as lone surrogates, so that
+    :func:`~unitrail.core.parse_trail` rejects them and ``check`` names
+    their line.  Stdin is taken as it is: ``main`` sets no codec."""
     if path == "-":
         if sys.stdin is None:  # started with stdin closed, as `<&-` does
             raise OSError("standard input is closed")
-        if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(encoding="utf-8-sig", errors="surrogateescape")
         return contextlib.nullcontext(sys.stdin)
     return open(path, encoding="utf-8-sig", errors="surrogateescape")
 
@@ -127,13 +132,6 @@ def _check_line(raw: str, index: int, args, show) -> str | None:
     the error that ends ``check`` at this line.  The trail, the names, the
     verdict and the report are this call's locals, so none of them is
     alive when the next line is read."""
-    # a lone surrogate stands for an undecodable byte, and an ASCII line
-    # (isascii is O(1)) has none, so only other lines are encoded to look
-    if not raw.isascii():
-        try:
-            raw.encode()
-        except UnicodeEncodeError:
-            return "undecodable bytes"
     try:
         trail, names = parse_trail(raw.strip(), tokens=args.tokens)
     except TrailParseError as exc:
@@ -392,7 +390,9 @@ def parse_args(argv):
 def main(argv=None) -> int:
     """Parse the command line, check each integer option against its least
     value in ``COMMANDS``, then run the command's handler.  With stdout
-    closed nothing runs: the output would have nowhere to go."""
+    closed nothing runs: the output would have nowhere to go.  The streams
+    are used with the codecs they have: ``main`` sets none, as it freezes
+    nothing, so a library or test caller's streams are left as they were."""
     if sys.stdout is None:  # started with stdout closed, as `>&-` does
         return _usage_error("standard output is closed")
     args = parse_args(sys.argv[1:] if argv is None else argv)
@@ -411,13 +411,21 @@ def entry() -> None:
     It first moves every object tracked so far, the interpreter's and the
     imported modules', into the collector's permanent generation
     (``gc.freeze``), so no later collection walks them; objects the command
-    creates are collected as before.  Once ``main`` returns, stdout and
-    stderr are flushed and ``os._exit`` ends the process: no interpreter
-    teardown and no ``atexit`` handler runs, and the program registers
-    none.  A ``SystemExit`` from ``parse_args`` (``-h``, a usage error)
-    exits the normal way.  Only this function freezes and ends the process;
-    ``main`` does neither."""
+    creates are collected as before.  Then it sets the stream codecs:
+    stdin ``utf-8-sig`` with ``surrogateescape``, stdout ``utf-8`` with
+    ``strict``, stderr ``utf-8`` with ``backslashreplace``; a stream that is
+    None (closed at start) or has no ``reconfigure`` is left alone.  Once
+    ``main`` returns, stdout and stderr are flushed and ``os._exit`` ends
+    the process: no interpreter teardown and no ``atexit`` handler runs,
+    and the program registers none.  A ``SystemExit`` from ``parse_args``
+    (``-h``, a usage error) exits the normal way.  Only this function
+    freezes, sets the codecs and ends the process; ``main`` does none of
+    these."""
     gc.freeze()
+    codecs = (("utf-8-sig", "surrogateescape"), ("utf-8", "strict"), ("utf-8", "backslashreplace"))
+    for stream, (encoding, errors) in zip((sys.stdin, sys.stdout, sys.stderr), codecs):
+        if hasattr(stream, "reconfigure"):  # None, or a stream with no codec of its own
+            stream.reconfigure(encoding=encoding, errors=errors)
     try:
         code = main()
         if sys.stdout is not None:  # main refused a closed stdout

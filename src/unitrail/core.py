@@ -1,16 +1,17 @@
 """Symbols, alphabets and trails.
 
 A trail is a plain tuple of dense integer vertex ids.  Token names exist
-only at the I/O boundary, where each decision has one rule: parsing takes
-every character :meth:`str.split` splits on as a separator, :func:`render`
-writes ids in a sequence of names, and :func:`id_names` names the ids of a
-size for every command that prints them; everything downstream works on
-ids 0..m-1.  An alphabet is the tuple of its names, the name of id ``i``
-at index ``i``, so its size is its length.  The graph a trail induces
-needs no type of its own: its arcs are the trail's consecutive pairs, and
-the oracle counts them from the trail.  Each classifier
-checks the symbols of the trail it is given against its own alphabet
-size, so nothing here validates ids.
+only at the I/O boundary, where each decision has one rule: parsing
+rejects a lone surrogate (an undecodable byte as the CLI reads it) and
+takes every character :meth:`str.split` splits on as a separator,
+:func:`render` writes ids in a sequence of names, and :func:`id_names`
+names the ids of a size for every command that prints them; everything
+downstream works on ids 0..m-1.  An alphabet is the tuple of its names,
+the name of id ``i`` at index ``i``, so its size is its length.  The
+graph a trail induces needs no type of its own: its arcs are the trail's
+consecutive pairs, and the oracle counts them from the trail.  Each
+classifier checks the symbols of the trail it is given against its own
+alphabet size, so nothing here validates ids.
 """
 
 import re
@@ -72,6 +73,10 @@ def _slices(text: str):
 def parse_trail(text: str, tokens: bool = False) -> tuple[Trail, tuple[str, ...]]:
     """Parse text into a trail and the names of its symbols.
 
+    A lone surrogate, which is how an undecodable byte reads under
+    ``surrogateescape``, raises :class:`TrailParseError`
+    (``undecodable bytes``) before any other check, in either mode; a text
+    that is ASCII, as :meth:`str.isascii` tells in O(1), is not looked at.
     In chars mode every character is one symbol, and whitespace anywhere
     in the text raises :class:`TrailParseError`; in tokens mode symbols are
     whitespace-separated.  Ids are assigned in first-appearance order, and
@@ -85,6 +90,12 @@ def parse_trail(text: str, tokens: bool = False) -> tuple[Trail, tuple[str, ...]
     peak, whichever whitespace separates its tokens: its id list and its
     trail, on a 64-bit build.
     """
+    # a lone surrogate is the one character UTF-8 cannot encode
+    if not text.isascii():
+        try:
+            text.encode()
+        except UnicodeEncodeError:
+            raise TrailParseError("undecodable bytes") from None
     if tokens:
         parts = map(str.split, _slices(text))
     else:

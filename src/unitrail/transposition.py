@@ -85,7 +85,9 @@ def find_proper_site(trail: Trail) -> TranspositionSite | None:
     """
     if not trail:
         return None
-    state = init_state(max(trail) + 1)
+    # a negative symbol gets the automaton's range error, as any other
+    # symbol outside the size does
+    state = init_state(max(max(trail), 0) + 1)
     rejected_at = advance(state, trail)
     if rejected_at is None:
         return None

@@ -354,6 +354,49 @@ def test_main_leaves_the_collector_alone(monkeypatch, capsys):
     assert gc.get_freeze_count() == frozen
 
 
+def test_main_leaves_the_stream_codecs_alone(monkeypatch):
+    # only entry() sets the codecs; latin-1 stand-ins keep theirs
+    for argv, stdin in [
+        (["check", "--tokens", "--explain"], b"0 0 1 0\n"),
+        (["trails", "0010"], b""),
+        (["mfw", "--alphabet-size", "2", "--max-len", "4"], b""),
+        (["crosscheck", "--alphabet-size", "2", "--max-len", "3"], b""),
+    ]:
+        streams = {name: io.TextIOWrapper(io.BytesIO(stdin), encoding="latin-1")
+                   for name in ("stdin", "stdout", "stderr")}
+        for name, stream in streams.items():
+            monkeypatch.setattr(f"sys.{name}", stream)
+        assert main(argv) == EXIT_OK, argv
+        assert [(s.encoding, s.errors) for s in streams.values()] == [("latin-1", "strict")] * 3, argv
+
+
+@pytest.mark.parametrize("stdin", ["open", "closed"])
+def test_entry_sets_the_three_stream_codecs_after_the_freeze_and_before_main(stdin, monkeypatch):
+    calls = []
+
+    class Stream(io.StringIO):
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def reconfigure(self, **settings):
+            calls.append((self.name, settings))
+
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr("unitrail.cli.main", lambda: calls.append("main") or EXIT_OK)
+    monkeypatch.setattr("unitrail.cli.os._exit", lambda code: calls.append(("_exit", code)))
+    monkeypatch.setattr("sys.stdin", Stream("stdin") if stdin == "open" else None)
+    monkeypatch.setattr("sys.stdout", Stream("stdout"))
+    monkeypatch.setattr("sys.stderr", Stream("stderr"))
+    entry()
+    expected = [("stdin", {"encoding": "utf-8-sig", "errors": "surrogateescape"})] if stdin == "open" else []
+    expected += [
+        ("stdout", {"encoding": "utf-8", "errors": "strict"}),
+        ("stderr", {"encoding": "utf-8", "errors": "backslashreplace"}),
+    ]
+    assert calls == ["freeze", *expected, "main", ("_exit", EXIT_OK)]
+
+
 def test_check_alphabet_size_cap(monkeypatch, capsys):
     code, out, _ = run_cli(["check", "--alphabet-size", "5"], monkeypatch, capsys, stdin="010\n")
     assert code == EXIT_OK
@@ -558,6 +601,40 @@ def test_check_rejects_undecodable_bytes_on_stdin():
     assert proc.returncode == EXIT_USAGE
     assert out == b"0\tNONUNIQUE\t4\n"
     assert b"line 2:" in err
+
+
+@pytest.mark.parametrize("tokens", [False, True], ids=["chars", "tokens"])
+@pytest.mark.parametrize("encoding", [None, "utf-8:strict"], ids=["unset", "utf-8:strict"])
+def test_trails_rejects_undecodable_bytes_in_its_argument(encoding, tokens, monkeypatch):
+    # the argument is bytes, so a\xff reaches the process undecoded
+    monkeypatch.delenv("PYTHONIOENCODING", raising=False)
+    env = {"PYTHONIOENCODING": encoding} if encoding else {}
+    proc = start_cli(["trails", *(["--tokens"] if tokens else []), b"a\xffa"], **env)
+    out, err = proc.communicate(timeout=10)
+    assert (proc.returncode, out, err) == (EXIT_USAGE, b"", b"unitrail: error: undecodable bytes\n")
+
+
+def test_output_is_utf8_whatever_the_environment_says(monkeypatch, capsys):
+    # the same bytes under every PYTHONIOENCODING: what main prints, in UTF-8
+    commands = [(["check", "--explain"], "€€x€\n"), (["trails", "ééxé"], "")]
+    expected = [run_cli(argv, monkeypatch, capsys, stdin)[1].encode() for argv, stdin in commands]
+    assert "€" in expected[0].decode() and expected[1] == "ééxé\néxéé\n".encode()
+    monkeypatch.delenv("PYTHONIOENCODING", raising=False)
+    for encoding in [None, "latin-1", "ascii", "utf-8:strict"]:
+        env = {"PYTHONIOENCODING": encoding} if encoding else {}
+        for (argv, stdin), want in zip(commands, expected):
+            proc = start_cli(argv, **env)
+            out, err = proc.communicate(stdin.encode(), timeout=10)
+            assert (proc.returncode, out, err) == (EXIT_OK, want, b""), (encoding, argv)
+
+
+def test_check_reads_what_trails_writes_under_latin1():
+    trails = start_cli(["trails", "ééxé"], PYTHONIOENCODING="latin-1")
+    listed, _ = trails.communicate(timeout=10)
+    check = start_cli(["check"], PYTHONIOENCODING="latin-1")
+    out, err = check.communicate(listed, timeout=10)
+    assert (trails.returncode, listed) == (EXIT_OK, "ééxé\néxéé\n".encode())
+    assert (check.returncode, out, err) == (EXIT_OK, b"0\tNONUNIQUE\t4\n1\tNONUNIQUE\t4\n", b"")
 
 
 @pytest.mark.parametrize("from_file", [False, True])

@@ -41,6 +41,15 @@ def test_parse_chars_rejects_inner_whitespace():
         parse_trail("a b")
 
 
+@pytest.mark.parametrize("tokens", [False, True], ids=["chars", "tokens"])
+@pytest.mark.parametrize("text", ["\udcff", "a\udcffa", "é\udcff", "a \udcff", "\udcff\t"])
+def test_parse_rejects_a_lone_surrogate_before_any_other_check(text, tokens):
+    # a lone surrogate is an undecodable byte read with surrogateescape;
+    # in chars mode its error wins over the one for whitespace
+    with pytest.raises(TrailParseError, match="^undecodable bytes$"):
+        parse_trail(text, tokens=tokens)
+
+
 WHITESPACE = [chr(code) for code in range(sys.maxunicode + 1) if chr(code).isspace()]
 
 

@@ -7,8 +7,10 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import unitrail
 from unitrail.cli import main
 from unitrail.core import SLICE_CHARS
 
@@ -173,3 +175,14 @@ def test_every_source_file_parses_as_python_3_10():
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_the_version_is_stated_once():
+    # pyproject.toml declares the version dynamic: setuptools reads the package's
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is beta in setuptools 65
+        project = read_configuration(ROOT / "pyproject.toml")["project"]
+    assert "version" in project["dynamic"]
+    assert project["version"] == unitrail.__version__

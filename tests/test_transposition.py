@@ -86,6 +86,12 @@ def test_find_proper_site_examples():
     assert find_proper_site((0, 1, 0, 2, 0)) == TranspositionSite(0, 2, 2, 4)
 
 
+@pytest.mark.parametrize("trail, symbol", [((-1,), -1), ((-2, -2, -1, -2), -2), ((0, -1), -1)])
+def test_a_negative_symbol_gets_the_automatons_range_error(trail, symbol):
+    with pytest.raises(ValueError, match=f"^symbol {symbol} out of range for alphabet size 1$"):
+        find_proper_site(trail)
+
+
 def test_the_empty_trail_has_no_proper_site():
     assert find_proper_site(()) is None
 
