@@ -82,9 +82,9 @@ def advance(state: AutomatonState, trail: Trail) -> int | None:
 
     Each symbol is one step, whose phase order matters: (1) if the last
     vertex already has a follower and it differs from the new symbol,
-    blacken the cycle closed by the follower chain; (2) if the new symbol
-    is already black, blacken everything; (3) record the new follower;
-    (4) move to the new symbol.  Returns the number of symbols consumed at
+    blacken the cycle closed by the follower chain; (2) record the new
+    follower; (3) move to the new symbol; (4) if the new symbol is already
+    black, blacken everything.  Returns the number of symbols consumed at
     the first step that enters a black vertex, after finishing that step,
     or ``None`` when no step does.  A symbol outside the alphabet raises
     ``ValueError`` and leaves the state as the symbols before it left it.
@@ -136,13 +136,11 @@ def _feed(
                         raise RuntimeError("latest-follower chain does not cycle back")
                     if vertex == prev:
                         break
-            if black[symbol]:
-                black[:] = [c or consumed for c in black]
-                follower[prev] = symbol
-                prev = symbol
-                return consumed
             follower[prev] = symbol
             prev = symbol
+            if black[symbol]:
+                black[:] = [c or consumed for c in black]
+                return consumed
         return None
     finally:
         if state is not None:
@@ -161,8 +159,8 @@ def run(trail: Trail, size: int) -> Verdict:
     colour lists, with no :class:`AutomatonState` around them; it stops
     at the first non-accepting prefix (the dead state is absorbing, so
     nothing later can recover).  A step ends non-accepting exactly when
-    the vertex it entered is black: phase 2 of the step blackens the whole
-    table in that case, phases 3 and 4 change no colour, and a chain walk
+    the vertex it entered is black: phase 4 of the step blackens the whole
+    table in that case, phases 2 and 3 change no colour, and a chain walk
     that blackens every vertex blackens the entered one too.  The empty
     trail is accepted, even over an empty alphabet, over which any symbol
     is out of range.  Every accepted run returns the same shared

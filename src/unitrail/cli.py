@@ -7,15 +7,17 @@ it.  An option's value may follow as the next word (taken verbatim, so
 ``--max-len -1`` reaches the range check) or as ``--opt=value``; options
 and positionals come in any order, ``--`` ends the options, and a
 repeated option keeps its last value.  Options are spelled out in full: a
-prefix of one is unknown.  ``main`` checks every integer against the
-table's least value after parsing, so a range error names the option
-with no usage line, and the handlers receive only values in range.
+prefix of one is unknown.  ``parse_args`` also checks every integer
+against the table's least value, so a range error names the option with
+no usage line, and the handlers receive only values in range.
 
-Exit codes: 0 for success (including NONUNIQUE verdicts), 1 when the
-reader closes stdout before the output ends, 2 when two classifiers that
-must agree do not, 64 for usage or input parse errors, for a process
-started with stdout closed (as ``>&-`` does; no command runs) and for
-``check`` reading a closed stdin (as ``<&-`` leaves it).
+Exit codes: 0 for success (including NONUNIQUE verdicts); 1 when the
+output could not be written, silently when the reader closes stdout
+before the output ends (as ``| head`` does) and with one error line when
+a write, or a read of the input, failed (as on a full disk); 2 when two
+classifiers that must agree do not; 64 for usage or input parse errors,
+for a process started with stdout closed (as ``>&-`` does; no command
+runs) and for ``check`` reading a closed stdin (as ``<&-`` leaves it).
 All stdout output is deterministic for a given input and flag set; the
 crosscheck timing summary goes to stderr.  Every stderr line goes through
 ``_stderr``, which drops it when stderr is None or cannot be written (as
@@ -334,17 +336,16 @@ def _parse_error(command, message: str):
     raise SystemExit(_usage_error(message))
 
 
-def _attribute(name: str) -> str:
-    """The namespace attribute of a positional or an option: ``--max-len`` is ``max_len``."""
-    return name.lstrip("-").replace("-", "_")
-
-
 def parse_args(argv):
     """The command line as a namespace: ``command``, then one attribute per
-    positional and option of that command, holding its default when the
-    line leaves it out.  ``-h`` or ``--help`` prints the help and exits 0;
-    a malformed line prints the usage and an error to stderr and exits 64.
-    An integer's range is not checked here: :func:`main` does that."""
+    positional and option of that command (``--max-len`` is ``max_len``),
+    holding its default when the line leaves it out.  ``-h`` or ``--help``
+    prints the help and raises ``SystemExit(0)``; a malformed line prints
+    the usage and an error to stderr and raises ``SystemExit(64)``.  Once
+    the line is well formed, each integer option is checked against its
+    least value in ``COMMANDS``: one out of range raises ``SystemExit(64)``
+    with an error line that names it and no usage line, so the handlers
+    receive only values in range."""
     if argv and argv[0] in ("-h", "--help"):
         print(_help(None))
         raise SystemExit(EXIT_OK)
@@ -384,24 +385,27 @@ def parse_args(argv):
     missing = [name for name, value in values.items() if value is _REQUIRED]
     if missing:
         _parse_error(command, f"the following arguments are required: {', '.join(missing)}")
-    return SimpleNamespace(command=command, **{_attribute(name): value for name, value in values.items()})
+    for flag, _, _, least, _ in options:
+        if least is not None and values[flag] is not None and values[flag] < least:
+            raise SystemExit(_usage_error(f"{flag} must be {f'at least {least}' if least else 'non-negative'}"))
+    return SimpleNamespace(command=command, **{name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv=None) -> int:
-    """Parse the command line, check each integer option against its least
-    value in ``COMMANDS``, then run the command's handler.  With stdout
-    closed nothing runs: the output would have nowhere to go.  The streams
-    are used with the codecs they have: ``main`` sets none, as it freezes
-    nothing, so a library or test caller's streams are left as they were."""
+    """Parse the command line, then run the command's handler, and return
+    the exit code for every command line: 0 after ``-h``, 64 for a line
+    :func:`parse_args` refuses, and otherwise the handler's.  It never
+    raises ``SystemExit``.  With stdout closed nothing runs: the output
+    would have nowhere to go.  The streams are used with the codecs they
+    have: ``main`` sets none, as it freezes nothing, so a library or test
+    caller's streams are left as they were."""
     if sys.stdout is None:  # started with stdout closed, as `>&-` does
         return _usage_error("standard output is closed")
-    args = parse_args(sys.argv[1:] if argv is None else argv)
-    handler, _, _, options = COMMANDS[args.command]
-    for flag, _, _, least, _ in options:
-        value = getattr(args, _attribute(flag))
-        if least is not None and value is not None and value < least:
-            return _usage_error(f"{flag} must be {f'at least {least}' if least else 'non-negative'}")
-    return handler(args)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:  # -h, or a line the parser refused
+        return exc.code
+    return COMMANDS[args.command][0](args)
 
 
 def entry() -> None:
@@ -417,10 +421,11 @@ def entry() -> None:
     None (closed at start) or has no ``reconfigure`` is left alone.  Once
     ``main`` returns, stdout and stderr are flushed and ``os._exit`` ends
     the process: no interpreter teardown and no ``atexit`` handler runs,
-    and the program registers none.  A ``SystemExit`` from ``parse_args``
-    (``-h``, a usage error) exits the normal way.  Only this function
-    freezes, sets the codecs and ends the process; ``main`` does none of
-    these."""
+    and the program registers none.  An ``OSError`` from ``main`` or from
+    the stdout flush, a write or a read of the input that failed, ends
+    the run with exit 1: silently when the reader closed stdout, and with
+    one error line otherwise.  Only this function freezes, sets the codecs
+    and ends the process; ``main`` does none of these."""
     gc.freeze()
     codecs = (("utf-8-sig", "surrogateescape"), ("utf-8", "strict"), ("utf-8", "backslashreplace"))
     for stream, (encoding, errors) in zip((sys.stdin, sys.stdout, sys.stderr), codecs):
@@ -430,9 +435,11 @@ def entry() -> None:
         code = main()
         if sys.stdout is not None:  # main refused a closed stdout
             sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout early, as `| head` does; nothing flushes
-        # stdout after this
+    except OSError as exc:
+        # nothing flushes stdout after this; the reader that closed it
+        # early, as `| head` does, is told nothing
+        if not isinstance(exc, BrokenPipeError):
+            _stderr(f"unitrail: error: {exc}")
         code = EXIT_PIPE
     if sys.stderr is not None:
         with contextlib.suppress(OSError, ValueError):  # as in _stderr

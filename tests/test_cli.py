@@ -29,13 +29,21 @@ def run_cli(argv, monkeypatch, capsys, stdin=""):
     return code, captured.out, captured.err
 
 
+def child_env(**overrides):
+    """The environment of a child process: this one's with the package on
+    ``PYTHONPATH`` and without ``PYTHONUNBUFFERED``, so that the child's
+    stdout is buffered as in a user's shell, then ``overrides`` (which may
+    set ``PYTHONUNBUFFERED`` again)."""
+    source = str(Path(unitrail.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": source, **overrides}
+
+
 def start_cli(argv, **env):
     """The CLI in a child process, with pipes on all three streams."""
-    source = str(Path(unitrail.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": source, **env}
     return subprocess.Popen(
         [sys.executable, "-m", "unitrail", *argv],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(**env),
     )
 
 
@@ -195,11 +203,10 @@ def test_a_closed_stdout_is_refused_before_any_command_runs(argv, monkeypatch, c
 
 def test_a_process_started_with_stdout_closed_exits_64_without_a_traceback():
     # the sweep would take about a second; the refusal comes before it
-    source = str(Path(unitrail.__file__).resolve().parents[1])
     argv = ["crosscheck", "--alphabet-size", "10", "--max-len", "4"]
     done = subprocess.run(
         ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "unitrail", *argv],
-        stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": source}, timeout=60,
+        stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, env=child_env(), timeout=60,
     )
     assert (done.returncode, done.stderr) == (EXIT_USAGE, b"unitrail: error: standard output is closed\n")
 
@@ -222,11 +229,9 @@ _STDERR_CASES = [
 def test_a_process_started_with_stderr_closed_keeps_its_exit_code(argv, expected):
     # the lost diagnostic must neither reach stdout nor turn into exit 1,
     # which means the reader closed stdout
-    source = str(Path(unitrail.__file__).resolve().parents[1])
     done = subprocess.run(
         ["sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "unitrail", *argv],
-        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": source}, timeout=60,
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True, env=child_env(), timeout=60,
     )
     assert (done.returncode, done.stdout) == expected
 
@@ -235,14 +240,12 @@ def test_a_process_started_with_stderr_closed_keeps_its_exit_code(argv, expected
 def test_the_process_ends_with_all_its_output_written(stdout, tmp_path):
     # entry ends the process with os._exit, which flushes nothing; a file
     # is block-buffered, so there the whole output waits for entry's flush
-    source = str(Path(unitrail.__file__).resolve().parents[1])
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     argv = [sys.executable, "-m", "unitrail", "crosscheck", "--alphabet-size", "2", "--max-len", "3"]
     out = tmp_path / "out.txt"
     with out.open("wb") as sink:
         done = subprocess.run(
             argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE if stdout == "pipe" else sink,
-            stderr=subprocess.PIPE, env={**env, "PYTHONPATH": source}, timeout=60,
+            stderr=subprocess.PIPE, env=child_env(), timeout=60,
         )
     printed = done.stdout if stdout == "pipe" else out.read_bytes()
     assert (done.returncode, printed.decode()) == (EXIT_OK, _BINARY_SWEEP)
@@ -263,10 +266,7 @@ def test_a_missing_or_closed_stderr_changes_neither_stdout_nor_the_exit_code(arg
     # whatever file start-up opened as fd 2 (a read-only one); print(file=None)
     # would write the diagnostic to stdout, and a failed write would raise
     monkeypatch.setattr("sys.stderr", None if stderr == "none" else _ClosedStream())
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # a parse error exits from parse_args
-        code = exc.code
+    code = main(argv)
     assert (code, capsys.readouterr().out) == expected
 
 
@@ -280,7 +280,8 @@ def _broken_pipe():
 
 def _record_entry(monkeypatch, main_does, stdout_flush_does=lambda: None):
     """Run entry() with gc.freeze, main, both output streams and os._exit
-    replaced by recorders; the calls they saw, in order."""
+    replaced by recorders, and stdin by a stand-in that entry cannot
+    reconfigure; the calls they saw, in order."""
     calls = []
 
     class Stream(io.StringIO):
@@ -304,6 +305,7 @@ def _record_entry(monkeypatch, main_does, stdout_flush_does=lambda: None):
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
     monkeypatch.setattr("unitrail.cli.main", fake_main)
     monkeypatch.setattr("unitrail.cli.os._exit", fake_exit)
+    monkeypatch.setattr("sys.stdin", io.StringIO())
     monkeypatch.setattr("sys.stdout", Stream("stdout", stdout_flush_does))
     monkeypatch.setattr("sys.stderr", Stream("stderr", lambda: None))
     with pytest.raises(_Exited):
@@ -332,6 +334,7 @@ def test_entry_exits_with_mains_code_whatever_became_of_stderr(stderr, monkeypat
     monkeypatch.setattr(gc, "freeze", lambda: None)
     monkeypatch.setattr("unitrail.cli.main", lambda: EXIT_MISMATCH)
     monkeypatch.setattr("unitrail.cli.os._exit", codes.append)
+    monkeypatch.setattr("sys.stdin", io.StringIO())  # the real one would be reconfigured
     monkeypatch.setattr("sys.stdout", io.StringIO())
     monkeypatch.setattr("sys.stderr", None if stderr == "none" else closed)
     entry()
@@ -711,6 +714,63 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(command, tmp_path
         proc.stderr.close()
 
 
+# command lines whose output cannot be written: help, then each kind of
+# command, with its stdin
+_UNWRITABLE_CASES = [
+    (["-h"], b""),
+    (["mfw", "-h"], b""),
+    (["trails", "0010"], b""),
+    (["check"], b"0010\n"),
+    (["mfw", "--alphabet-size", "2", "--max-len", "5"], b""),
+]
+_UNWRITABLE_IDS = ["help", "mfw-help", "trails", "check", "mfw"]
+
+
+def run_unwritable(argv, stdin, stdout, unbuffered):
+    """The exit code and stderr of the CLI run with ``stdout`` as its
+    stdout, and stdout buffered unless ``unbuffered``."""
+    env = child_env(PYTHONUNBUFFERED="1") if unbuffered else child_env()
+    done = subprocess.run(
+        [sys.executable, "-m", "unitrail", *argv], input=stdin, stdout=stdout, stderr=subprocess.PIPE,
+        env=env, timeout=60,
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, stdin", _UNWRITABLE_CASES, ids=_UNWRITABLE_IDS)
+def test_a_reader_gone_before_the_start_gets_exit_1_and_nothing_on_stderr(argv, stdin, unbuffered):
+    # the pipe's read end is closed before the child starts, so its first
+    # write, or entry's flush of a buffered stdout, breaks the pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        assert run_unwritable(argv, stdin, write_end, unbuffered) == (EXIT_PIPE, b"")
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, stdin", _UNWRITABLE_CASES, ids=_UNWRITABLE_IDS)
+def test_a_full_disk_gets_exit_1_and_one_error_line(argv, stdin, unbuffered):
+    # every write to /dev/full fails with ENOSPC: one line says so, and no
+    # traceback follows
+    with open("/dev/full", "wb") as full:
+        code, err = run_unwritable(argv, stdin, full, unbuffered)
+    assert (code, err) == (EXIT_PIPE, b"unitrail: error: [Errno 28] No space left on device\n")
+
+
+def test_a_failed_read_of_the_input_gets_exit_1_and_one_error_line():
+    # stdin open for writing only: check's first read fails with EBADF
+    with open(os.devnull, "wb") as write_only:
+        done = subprocess.run(
+            [sys.executable, "-m", "unitrail", "check"], stdin=write_only, capture_output=True,
+            env=child_env(), timeout=60,
+        )
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_PIPE, b"", b"unitrail: error: [Errno 9] Bad file descriptor\n")
+
+
 def test_mfw_both_agree_over_binary(monkeypatch, capsys):
     code, out, _ = run_cli(
         ["mfw", "--alphabet-size", "2", "--max-len", "4"], monkeypatch, capsys
@@ -931,26 +991,51 @@ def test_crosscheck_stdout_is_deterministic(monkeypatch, capsys):
 
 
 def test_unknown_flags_exit_64(monkeypatch, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["check", "--bogus"])
+    code = main(["check", "--bogus"])
     capsys.readouterr()
-    assert info.value.code == EXIT_USAGE
+    assert code == EXIT_USAGE
 
 
 def test_missing_subcommand_exits_64(monkeypatch, capsys):
-    with pytest.raises(SystemExit) as info:
-        main([])
+    code = main([])
     capsys.readouterr()
-    assert info.value.code == EXIT_USAGE
+    assert code == EXIT_USAGE
 
 
 def parse_exit(argv, capsys):
     """The exit code, stdout and stderr of a command line that stops in
     the parser."""
-    with pytest.raises(SystemExit) as info:
-        main(argv)
+    code = main(argv)
     captured = capsys.readouterr()
-    return info.value.code, captured.out, captured.err
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["-h"], (EXIT_OK, "")),
+    (["mfw", "-h"], (EXIT_OK, "")),
+    (["frob"], (EXIT_USAGE, (
+        "usage: unitrail [-h] {check,trails,mfw,crosscheck} ...\n"
+        "unitrail: error: argument command: invalid choice: 'frob' (choose from 'check', 'trails', 'mfw', 'crosscheck')\n"
+    ))),
+    (["check", "--bogus"], (EXIT_USAGE, (
+        "usage: unitrail check [-h] [--tokens] [--alphabet-size M] [--explain] [--json] [path]\n"
+        "unitrail: error: unrecognized arguments: --bogus\n"
+    ))),
+    (["mfw", "--alphabet-size", "0", "--max-len", "2"], (EXIT_USAGE, "unitrail: error: --alphabet-size must be at least 1\n")),
+], ids=["help", "mfw-help", "unknown-command", "unknown-option", "range-error"])
+def test_main_returns_the_exit_code_of_every_command_line(argv, expected, capsys):
+    # main raises no SystemExit: help and refused lines return their code
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == expected
+    assert bool(captured.out) == (code == EXIT_OK)
+
+
+def test_parse_args_checks_each_integer_against_its_least_value(capsys):
+    with pytest.raises(SystemExit) as info:
+        parse_args(["mfw", "--alphabet-size", "2", "--max-len", "-1"])
+    assert info.value.code == EXIT_USAGE
+    assert capsys.readouterr() == ("", "unitrail: error: --max-len must be non-negative\n")
 
 
 def test_the_parser_reads_the_command_table(monkeypatch, capsys):
@@ -1011,11 +1096,9 @@ def test_every_readme_cli_line_parses():
 def test_import_loads_no_dataclasses_inspect_json_argparse_gettext_or_locale():
     # start-up cost: these modules take a large share of the time to the
     # first verdict, and deciding a line needs none of them
-    source = str(Path(unitrail.__file__).resolve().parents[1])
     probe = "import sys, unitrail.cli; print(' '.join(sorted(sys.modules)))"
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": source}, timeout=60,
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=child_env(), timeout=60,
     )
     loaded = set(done.stdout.split())
     assert "unitrail.cli" in loaded
@@ -1024,11 +1107,9 @@ def test_import_loads_no_dataclasses_inspect_json_argparse_gettext_or_locale():
 
 def test_import_leaves_the_collector_alone():
     # only entry(), which ends the process, may freeze the start-up heap
-    source = str(Path(unitrail.__file__).resolve().parents[1])
     probe = "import gc, unitrail.cli; print(gc.isenabled(), gc.get_freeze_count())"
     done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": source}, timeout=60,
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=child_env(), timeout=60,
     )
     assert done.stdout == "True 0\n"
 
@@ -1038,7 +1119,6 @@ def test_the_process_prints_what_main_prints(tmp_path, monkeypatch, capsys):
     # unitrail` (entry, which freezes) and through main in this process
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("0 1 2 3\n0 1 2 0 2 1 0\n0 1 0 2 0\n10 11 12 10 12 11 10 13 11\n3 4 5 3 5 4 3 4\n")
-    source = str(Path(unitrail.__file__).resolve().parents[1])
     for argv in [
         ["check", "--tokens", str(corpus)],
         ["check", "--tokens", "--explain", str(corpus)],
@@ -1047,7 +1127,7 @@ def test_the_process_prints_what_main_prints(tmp_path, monkeypatch, capsys):
     ]:
         done = subprocess.run(
             [sys.executable, "-m", "unitrail", *argv], stdin=subprocess.DEVNULL, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": source}, timeout=60,
+            env=child_env(), timeout=60,
         )
         code, out, _ = run_cli(argv, monkeypatch, capsys)
         assert out.count("\n") > 3, argv
