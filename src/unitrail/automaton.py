@@ -23,10 +23,10 @@ mapped to its colour.
 
 from typing import NamedTuple
 
-from .core import Trail
+from .core import Slotted, Trail
 
 
-class AutomatonState:
+class AutomatonState(Slotted):
     """Mutable machine state for one input stream.
 
     ``last`` is the previously consumed vertex, or the alphabet size (the
@@ -44,14 +44,6 @@ class AutomatonState:
         self.last = last
         self.follower = follower
         self.black = black
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.last, self.follower, self.black) == (other.last, other.follower, other.black)
-
-    def __repr__(self) -> str:
-        return f"AutomatonState(last={self.last!r}, follower={self.follower!r}, black={self.black!r})"
 
 
 class Verdict(NamedTuple):

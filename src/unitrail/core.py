@@ -11,7 +11,9 @@ the name of id ``i`` at index ``i``, so its size is its length.  The
 graph a trail induces needs no type of its own: its arcs are the trail's
 consecutive pairs, and the oracle counts them from the trail.  Each
 classifier checks the symbols of the trail it is given against its own
-alphabet size, so nothing here validates ids.
+alphabet size, so nothing here validates ids.  The two states a stream
+is fed into, the automaton's and the grammar's live set, are the package's
+mutable values; both compare and print through :class:`Slotted`.
 """
 
 import re
@@ -34,6 +36,32 @@ _WHITESPACE = re.compile(r"\s")
 
 class TrailParseError(ValueError):
     """Input text could not be parsed into a trail."""
+
+
+class Slotted:
+    """A mutable value held in its class's ``__slots__``.
+
+    Two instances of one class compare equal when their slot values do,
+    in slot order, and an instance prints as ``Name(slot=value, ...)``.
+    Defining ``__eq__`` leaves ``__hash__`` unset, so instances are
+    unhashable, as mutable values should be.  The base has no slots of
+    its own, so a subclass that lists its slots has no ``__dict__`` and
+    takes no other attribute.
+    """
+
+    __slots__ = ()
+
+    def _slot_values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._slot_values() == other._slot_values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
 
 def render(names: tuple[str, ...] | str | range, trail: Trail, tokens: bool = False) -> str:

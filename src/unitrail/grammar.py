@@ -41,7 +41,7 @@ await, and the set ``anchors`` that only the amended grammar awaits.
 
 from typing import NamedTuple
 
-from .core import Trail
+from .core import Slotted, Trail
 
 
 class _GrammarFields(NamedTuple):
@@ -73,7 +73,7 @@ def build_grammar_nfa(size: int, mode: str = "strict") -> GrammarNFA:
     return GrammarNFA(size, mode)
 
 
-class LiveSet:
+class LiveSet(Slotted):
     """The live states of both grammars after ``n`` symbols, factored.
 
     ``awaits`` maps each mark of the ``await`` states live in both
@@ -124,18 +124,6 @@ class LiveSet:
         twin.amended = self.amended
         twin.prev = self.prev
         return twin
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"LiveSet({fields})"
 
 
 def nfa_accepts(nfa: GrammarNFA, trail: Trail, live: LiveSet | None = None) -> bool:

@@ -4,9 +4,10 @@ Every graph the package asks about is the one a trail induces: its arcs
 are the trail's consecutive symbol pairs, with multiplicity, and its
 trails start at the trail's first symbol.  So the oracle takes the trail
 itself.  It backtracks over the remaining arc multiplicities, branching
-in ascending vertex order so the output is lexicographic.  Used to
-cross-validate every other classifier in the package; uniqueness queries
-early-exit after the second trail.
+in ascending vertex order so the output is lexicographic, and it never
+leaves a vertex it could not come back to while that vertex still has
+arcs out.  Used to cross-validate every other classifier in the package;
+uniqueness queries early-exit after the second trail.
 """
 
 import itertools
@@ -48,10 +49,28 @@ def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> I
     runs nothing until its first trail is asked for, so the checks and
     the count stay in :func:`enumerate_trails`, which runs them at the
     call.
+
+    The re-entry test: an arc ``(u, v)`` with ``u != v`` is entered only
+    when it is ``u``'s last unused arc out, or another vertex still has
+    an unused arc into ``u``.  Otherwise leaving ``u`` strands its other
+    arcs out for good, so no trail lies beyond it and the trails found,
+    and their order, stay the same.  ``outs[u]`` counts ``u``'s unused
+    arcs out and ``ins[u]`` the unused arcs into ``u`` from other
+    vertices; a step updates each in O(1) and a backtrack restores it.
+    This makes the reversed doubled trail ``(m-1)(m-1) .. 1 1 0 0`` take
+    one pass, but the search is still exponential on some shapes, such
+    as a long unique walk of cycles left part way round, which
+    :func:`is_unique_trail` must search to the end.
     """
     successors: dict[int, list[tuple[int, int]]] = {}
+    outs = dict.fromkeys(itertools.chain.from_iterable(remaining), 0)
+    ins = outs.copy()
     for arc in sorted(remaining):
         successors.setdefault(arc[0], []).append(arc)
+        tail, head = arc
+        outs[tail] += remaining[arc]
+        if tail != head:
+            ins[head] += remaining[arc]
 
     path = [start]
     frames = [iter(successors.get(start, ()))]
@@ -59,16 +78,24 @@ def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> I
         if len(path) == length:
             yield tuple(path)
         for arc in frames[-1]:
-            if remaining[arc]:
+            tail, head = arc
+            if remaining[arc] and (tail == head or outs[tail] == 1 or ins[tail]):
                 remaining[arc] -= 1
-                path.append(arc[1])
-                frames.append(iter(successors.get(arc[1], ())))
+                outs[tail] -= 1
+                if tail != head:
+                    ins[head] -= 1
+                path.append(head)
+                frames.append(iter(successors.get(head, ())))
                 break
         else:
             frames.pop()
             head = path.pop()
             if path:
-                remaining[(path[-1], head)] += 1
+                tail = path[-1]
+                remaining[(tail, head)] += 1
+                outs[tail] += 1
+                if tail != head:
+                    ins[head] += 1
 
 
 def is_unique_trail(trail: Trail) -> bool:

@@ -1,4 +1,6 @@
+import contextlib
 import itertools
+import signal
 
 
 def all_strings(size, max_len, min_len=1):
@@ -35,3 +37,20 @@ def matches_binary_mfw(trail):
         if trail == (c,) + run_part + (c, c):
             return True
     return False
+
+
+@contextlib.contextmanager
+def cpu_bound(seconds):
+    """Raise ``TimeoutError`` in the body once the process has spent
+    ``seconds`` of CPU time in it, so a search that runs away fails the
+    test instead of hanging it."""
+    def out_of_time(signum, frame):
+        raise TimeoutError(f"more than {seconds} s of CPU time")
+
+    previous = signal.signal(signal.SIGPROF, out_of_time)
+    signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)

@@ -21,6 +21,8 @@ from unitrail.cli import COMMANDS, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE
 from unitrail.core import SLICE_CHARS, id_names, render
 from unitrail.harness import CrosscheckReport
 
+from conftest import cpu_bound
+
 
 def run_cli(argv, monkeypatch, capsys, stdin=""):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -676,6 +678,13 @@ def test_trails_unique_input_yields_one_line(monkeypatch, capsys):
     code, out, _ = run_cli(["trails", "ababab"], monkeypatch, capsys)
     assert code == EXIT_OK
     assert out.splitlines() == ["ababab"]
+
+
+def test_trails_lists_the_one_trail_of_the_reversed_doubled_trail_at_m_200(monkeypatch, capsys):
+    line = " ".join(f"{v} {v}" for v in range(199, -1, -1))
+    with cpu_bound(1):
+        code, out, err = run_cli(["trails", "--tokens", "--limit", "2", line], monkeypatch, capsys)
+    assert (code, out, err) == (EXIT_OK, line + "\n", "")
 
 
 def test_trails_single_vertex(monkeypatch, capsys):

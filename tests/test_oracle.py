@@ -7,7 +7,7 @@ import pytest
 
 from unitrail.oracle import enumerate_trails, is_unique_trail
 
-from conftest import all_strings
+from conftest import all_strings, cpu_bound
 from reference import arcs
 
 
@@ -91,6 +91,14 @@ def test_every_trail_of_the_graph_is_found():
             group.sort()
             for word in group:
                 assert list(enumerate_trails(word)) == group, word
+
+
+def test_the_reversed_doubled_trail_at_m_200_is_decided_in_a_second():
+    # (m-1)(m-1) .. 1 1 0 0 is unique; a search that may leave a vertex
+    # before its loop, never to come back, meets 2^m dead ends
+    trail = tuple(s for v in range(199, -1, -1) for s in (v, v))
+    with cpu_bound(1):
+        assert is_unique_trail(trail)
 
 
 def test_trail_count_survives_arc_reversal():

@@ -8,11 +8,12 @@ import unitrail
 from unitrail import (
     AutomatonState,
     Verdict,
+    advance,
     find_proper_site,
     init_state,
     run,
 )
-from unitrail.grammar import GrammarNFA, build_grammar_nfa
+from unitrail.grammar import GrammarNFA, LiveSet, build_grammar_nfa, nfa_accepts
 from unitrail.transposition import TranspositionSite
 
 # (case id, build one value, its repr); each is built twice, so the two
@@ -62,6 +63,22 @@ def test_automaton_state_compares_by_its_three_fields():
         state.extra = 0
     with pytest.raises(TypeError):
         hash(state)
+    # the grammar's live set shares the protocol: stepped states of both
+    # kinds equal fresh twins, never each other, and are just as closed
+    def stepped():
+        state, live = init_state(3), LiveSet()
+        advance(state, (0, 1, 0, 2))
+        nfa_accepts(build_grammar_nfa(3, "amended"), (0, 1, 0, 2), live)
+        return state, live
+
+    states, twins = stepped(), stepped()
+    for state, twin, other in zip(states, twins, twins[::-1]):
+        assert state == twin and state is not twin
+        assert state != other and other != state
+        with pytest.raises(TypeError):
+            hash(state)
+        with pytest.raises(AttributeError):
+            state.extra = 0
 
 
 def test_replace_runs_the_same_checks_as_the_constructor():
