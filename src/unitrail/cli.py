@@ -58,7 +58,7 @@ from .oracle import enumerate_trails
 from .transposition import apply_transposition, find_proper_site, segments
 
 EXIT_OK = 0
-EXIT_PIPE = 1
+EXIT_IO = 1
 EXIT_MISMATCH = 2
 EXIT_USAGE = 64
 
@@ -440,7 +440,7 @@ def entry() -> None:
         # early, as `| head` does, is told nothing
         if not isinstance(exc, BrokenPipeError):
             _stderr(f"unitrail: error: {exc}")
-        code = EXIT_PIPE
+        code = EXIT_IO
     if sys.stderr is not None:
         with contextlib.suppress(OSError, ValueError):  # as in _stderr
             sys.stderr.flush()

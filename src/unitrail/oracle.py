@@ -5,11 +5,12 @@ are the trail's consecutive symbol pairs, with multiplicity, and its
 trails start at the trail's first symbol.  So the oracle takes the trail
 itself.  It backtracks over the remaining arc multiplicities, branching
 in ascending vertex order so the output is lexicographic, and it never
-leaves a vertex it could not come back to while that vertex still has
-arcs out.  Used to cross-validate every other classifier in the package;
-uniqueness queries early-exit after the second trail.
+leaves a vertex for good while a loop there is unused.  Used to
+cross-validate every other classifier in the package; uniqueness
+queries early-exit after the second trail.
 """
 
+import collections
 import itertools
 from collections.abc import Iterator
 
@@ -30,10 +31,8 @@ def enumerate_trails(trail: Trail) -> Iterator[Trail]:
         raise ValueError("the empty trail induces no graph")
     if min(trail) < 0:
         raise ValueError(f"symbol {min(trail)} is negative")
-    arcs: dict[tuple[int, int], int] = {}
-    for arc in zip(trail, trail[1:]):
-        arcs[arc] = arcs.get(arc, 0) + 1
-    return _trails(arcs, trail[0], len(trail))
+    # a plain dict: the interpreter's fast paths index only exact dicts
+    return _trails(dict(collections.Counter(zip(trail, trail[1:]))), trail[0], len(trail))
 
 
 def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> Iterator[Trail]:
@@ -50,27 +49,33 @@ def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> I
     the count stay in :func:`enumerate_trails`, which runs them at the
     call.
 
-    The re-entry test: an arc ``(u, v)`` with ``u != v`` is entered only
-    when it is ``u``'s last unused arc out, or another vertex still has
-    an unused arc into ``u``.  Otherwise leaving ``u`` strands its other
-    arcs out for good, so no trail lies beyond it and the trails found,
-    and their order, stay the same.  ``outs[u]`` counts ``u``'s unused
-    arcs out and ``ins[u]`` the unused arcs into ``u`` from other
-    vertices; a step updates each in O(1) and a backtrack restores it.
-    This makes the reversed doubled trail ``(m-1)(m-1) .. 1 1 0 0`` take
-    one pass, but the search is still exponential on some shapes, such
-    as a long unique walk of cycles left part way round, which
-    :func:`is_unique_trail` must search to the end.
+    One rule prunes the search: never leave a vertex for good while a
+    loop there is unused.  An arc ``(u, v)`` with ``u != v`` is entered
+    only when ``ins[u]``, the number of unused arcs into ``u`` from other
+    vertices, is not zero, or ``u`` has no unused loop.  Why one counter
+    is enough: over the unused arcs, out(v) - in(v) is [v is the current
+    vertex] - [v is the end], the last symbol every trail of the graph
+    shares.  So at the current vertex ``u``, with L unused loops, N
+    unused arcs out to other vertices and I unused arcs in from them,
+    N = I + 1 - [u is the end].  When I = 0, N is 1 and ``u`` is not the
+    end: the arc leaves ``u`` for good, so no trail lies beyond it unless
+    L = 0.  So the rule is the same as entering such an arc only while
+    I > 0 or when it is ``u``'s last unused arc out, and it needs no
+    ``end`` argument.
+    The rule cuts only dead branches, so the trails found, and their
+    order, stay those of the unpruned search.  A step updates ``ins`` in
+    O(1) and a backtrack restores it.  This makes the reversed doubled
+    trail ``(m-1)(m-1) .. 1 1 0 0`` take one pass, but the search is
+    still exponential on some shapes, such as a long unique walk of
+    cycles left part way round, which :func:`is_unique_trail` must search
+    to the end.
     """
     successors: dict[int, list[tuple[int, int]]] = {}
-    outs = dict.fromkeys(itertools.chain.from_iterable(remaining), 0)
-    ins = outs.copy()
+    ins = dict.fromkeys(itertools.chain.from_iterable(remaining), 0)
     for arc in sorted(remaining):
         successors.setdefault(arc[0], []).append(arc)
-        tail, head = arc
-        outs[tail] += remaining[arc]
-        if tail != head:
-            ins[head] += remaining[arc]
+        if arc[0] != arc[1]:
+            ins[arc[1]] += remaining[arc]
 
     path = [start]
     frames = [iter(successors.get(start, ()))]
@@ -79,9 +84,8 @@ def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> I
             yield tuple(path)
         for arc in frames[-1]:
             tail, head = arc
-            if remaining[arc] and (tail == head or outs[tail] == 1 or ins[tail]):
+            if remaining[arc] and (tail == head or ins[tail] or not remaining.get((tail, tail))):
                 remaining[arc] -= 1
-                outs[tail] -= 1
                 if tail != head:
                     ins[head] -= 1
                 path.append(head)
@@ -93,7 +97,6 @@ def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> I
             if path:
                 tail = path[-1]
                 remaining[(tail, head)] += 1
-                outs[tail] += 1
                 if tail != head:
                     ins[head] += 1
 

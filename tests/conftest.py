@@ -22,6 +22,17 @@ def unique_walk(rng, length):
     return tuple(walk[:length])
 
 
+def nested_branches(k):
+    """``a1 x1 .. ak xk F ak yk .. a1 y1``, where ``F`` is 2k fresh symbols
+    and every ``x`` and ``y`` is fresh too, so the trail is unique.  Each
+    ``ai yi`` leaves ``ai`` towards another follower than ``xi``, so its
+    marks reach back past those of every branch before it."""
+    anchors, xs, ys = range(k), range(k, 2 * k), range(4 * k, 5 * k)
+    head = [symbol for pair in zip(anchors, xs) for symbol in pair]
+    tail = [symbol for pair in zip(anchors[::-1], ys[::-1]) for symbol in pair]
+    return tuple(head) + tuple(range(2 * k, 4 * k)) + tuple(tail)
+
+
 def matches_binary_mfw(trail):
     """Membership in the four binary families, checked by direct scan."""
     for symbol in trail:

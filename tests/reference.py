@@ -1,8 +1,9 @@
-"""What only the tests use: the arcs of a trail's graph, the O(n⁴) list of
-every site, the grammar NFA's rule, its states and its set-based
-simulation, the explicit states of a factored live set and the last
-symbol and length read off it, the acceptance test on an automaton state
-and the checked shift lemma.  The package never calls them.
+"""What only the tests use: the arcs of a trail's graph, a uniformly
+random trail of it, the O(n⁴) list of every site, the grammar NFA's
+rule, its states and its set-based simulation, the explicit states of a
+factored live set and the last symbol and length read off it, the
+acceptance test on an automaton state and the checked shift lemma.  The
+package never calls them.
 
 Import it the way the tests import ``conftest``:
 ``from reference import all_sites``.
@@ -20,6 +21,48 @@ from unitrail.transposition import TranspositionSite, apply_transposition, valid
 def arcs(trail: Trail) -> Counter:
     """The graph a trail induces, as the multiset of its consecutive pairs."""
     return Counter(zip(trail, trail[1:]))
+
+
+def sample_trail(trail: Trail, rng) -> Trail:
+    """A uniformly random Eulerian trail of ``trail``'s graph, from
+    ``trail[0]``.
+
+    The last exits of a trail that ends at ``trail[-1]`` form an
+    arborescence into that end, and every arborescence, with every order
+    of the other exits, gives one trail (BEST).  So draw the arborescence
+    with Wilson's loop-erased walk into the end, choosing among a
+    vertex's arcs by multiplicity, shuffle each vertex's other exits, put
+    the tree exit last and walk from the start.  Each distinct trail has
+    as many orders of equal exits as any other, so the draw is uniform
+    over distinct trails.  Wilson's walk takes the mean hitting time of
+    the end: milliseconds on most shapes, quadratic on a path walked out
+    and back.
+    """
+    exits: dict[int, list[int]] = {}
+    for tail, head in zip(trail, trail[1:]):
+        exits.setdefault(tail, []).append(head)
+    end = trail[-1]
+    last: dict[int, int] = {}  # a vertex's tree exit, as an index into its exits
+    in_tree = {end}
+    for vertex in exits:
+        # walk until the tree is hit; a revisit overwrites the exit, which
+        # erases the loop, and the erased walk joins the tree
+        u = vertex
+        while u not in in_tree:
+            last[u] = rng.randrange(len(exits[u]))
+            u = exits[u][last[u]]
+        u = vertex
+        while u not in in_tree:
+            in_tree.add(u)
+            u = exits[u][last[u]]
+    for vertex, heads in exits.items():
+        tree = [heads.pop(last[vertex])] if vertex != end else []
+        rng.shuffle(heads)
+        heads[:0] = tree  # the walk pops from the back, so the tree exit goes last
+    walk = [trail[0]]
+    while exits.get(walk[-1]):
+        walk.append(exits[walk[-1]].pop())
+    return tuple(walk)
 
 
 def is_accepting(state: AutomatonState) -> bool:

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import unitrail
-from unitrail.cli import COMMANDS, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, entry, main, parse_args
+from unitrail.cli import COMMANDS, EXIT_IO, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, entry, main, parse_args
 from unitrail.core import SLICE_CHARS, id_names, render
 from unitrail.harness import CrosscheckReport
 
@@ -323,9 +323,9 @@ def test_entry_freezes_the_heap_once_before_main_and_exits_with_its_code(monkeyp
 def test_entry_exits_1_without_flushing_stdout_again_when_the_reader_closed_the_pipe(monkeypatch):
     # the pipe breaks in a write inside main, or in entry's own flush
     calls = _record_entry(monkeypatch, _broken_pipe)
-    assert calls == ["freeze", ("main", None), "flush stderr", ("_exit", EXIT_PIPE)]
+    assert calls == ["freeze", ("main", None), "flush stderr", ("_exit", EXIT_IO)]
     calls = _record_entry(monkeypatch, lambda: EXIT_OK, stdout_flush_does=_broken_pipe)
-    assert calls == ["freeze", ("main", None), "flush stdout", "flush stderr", ("_exit", EXIT_PIPE)]
+    assert calls == ["freeze", ("main", None), "flush stdout", "flush stderr", ("_exit", EXIT_IO)]
 
 
 @pytest.mark.parametrize("stderr", ["none", "closed"])
@@ -715,7 +715,7 @@ def test_a_reader_that_closes_the_pipe_early_gets_no_traceback(command, tmp_path
         proc.stdin.close()
         assert proc.stdout.readline() == f"{first}\n".encode()
         proc.stdout.close()
-        assert proc.wait(timeout=30) == EXIT_PIPE
+        assert proc.wait(timeout=30) == EXIT_IO
         assert proc.stderr.read() == b""
     finally:
         proc.kill()
@@ -754,7 +754,7 @@ def test_a_reader_gone_before_the_start_gets_exit_1_and_nothing_on_stderr(argv, 
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        assert run_unwritable(argv, stdin, write_end, unbuffered) == (EXIT_PIPE, b"")
+        assert run_unwritable(argv, stdin, write_end, unbuffered) == (EXIT_IO, b"")
     finally:
         os.close(write_end)
 
@@ -767,7 +767,7 @@ def test_a_full_disk_gets_exit_1_and_one_error_line(argv, stdin, unbuffered):
     # traceback follows
     with open("/dev/full", "wb") as full:
         code, err = run_unwritable(argv, stdin, full, unbuffered)
-    assert (code, err) == (EXIT_PIPE, b"unitrail: error: [Errno 28] No space left on device\n")
+    assert (code, err) == (EXIT_IO, b"unitrail: error: [Errno 28] No space left on device\n")
 
 
 def test_a_failed_read_of_the_input_gets_exit_1_and_one_error_line():
@@ -777,7 +777,7 @@ def test_a_failed_read_of_the_input_gets_exit_1_and_one_error_line():
             [sys.executable, "-m", "unitrail", "check"], stdin=write_only, capture_output=True,
             env=child_env(), timeout=60,
         )
-    assert (done.returncode, done.stdout, done.stderr) == (EXIT_PIPE, b"", b"unitrail: error: [Errno 9] Bad file descriptor\n")
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_IO, b"", b"unitrail: error: [Errno 9] Bad file descriptor\n")
 
 
 def test_mfw_both_agree_over_binary(monkeypatch, capsys):

@@ -9,7 +9,7 @@ from unitrail.automaton import run
 from unitrail.grammar import LiveSet, build_grammar_nfa, nfa_accepts
 from unitrail.transposition import has_proper_transposition
 
-from conftest import all_strings, unique_walk
+from conftest import all_strings, nested_branches, unique_walk
 from reference import ACCEPT, START, all_states, expand, last_read, simulate, step, successors
 
 
@@ -298,17 +298,6 @@ def test_amended_matches_the_scan_at_alphabet_size_64():
     for word in words:
         assert nfa_accepts(nfa, word) == has_proper_transposition(word), word
     assert [nfa_accepts(nfa, word) for word in words] == [True, True, False, False, False, False]
-
-
-def nested_branches(k):
-    """``a1 x1 .. ak xk F ak yk .. a1 y1``, where ``F`` is 2k fresh symbols
-    and every ``x`` and ``y`` is fresh too, so the trail is unique.  Each
-    ``ai yi`` leaves ``ai`` towards another follower than ``xi``, so its
-    marks reach back past those of every branch before it."""
-    anchors, xs, ys = range(k), range(k, 2 * k), range(4 * k, 5 * k)
-    head = [symbol for pair in zip(anchors, xs) for symbol in pair]
-    tail = [symbol for pair in zip(anchors[::-1], ys[::-1]) for symbol in pair]
-    return tuple(head) + tuple(range(2 * k, 4 * k)) + tuple(tail)
 
 
 def test_the_grammars_agree_with_the_automaton_on_long_trails():
