@@ -1,13 +1,15 @@
-"""Ground truth by exhaustive search over Eulerian trails.
+"""Ground truth by search over Eulerian trails.
 
 Every graph the package asks about is the one a trail induces: its arcs
 are the trail's consecutive symbol pairs, with multiplicity, and its
 trails start at the trail's first symbol.  So the oracle takes the trail
 itself.  It backtracks over the remaining arc multiplicities, branching
-in ascending vertex order so the output is lexicographic, and it never
-leaves a vertex for good while a loop there is unused.  Used to
-cross-validate every other classifier in the package; uniqueness
-queries early-exit after the second trail.
+in ascending vertex order so the output is lexicographic, and it enters
+an arc only if the arcs left over still form a trail from the arc's
+head: Fleury's rule (1883), decided by a search backwards from the arc's
+tail.  So no branch of the search dies, each trail costs polynomial
+time, and uniqueness queries stop after the second trail.  Used to
+cross-validate every other classifier in the package.
 """
 
 import collections
@@ -25,57 +27,68 @@ def enumerate_trails(trail: Trail) -> Iterator[Trail]:
     has itself as its only trail.  The input is checked and the arcs are
     counted when this is called, before the first trail is asked for.
     Each trail is yielded as soon as it is found, so a caller that stops
-    early stops the search.
+    early stops the search.  Every branch the search enters ends in a
+    trail, so the first ``k`` trails cost at most about ``2 k`` times the
+    trail's length of steps, each of at most one O(arcs) search per arc
+    tried.
     """
     if not trail:
         raise ValueError("the empty trail induces no graph")
     if min(trail) < 0:
         raise ValueError(f"symbol {min(trail)} is negative")
     # a plain dict: the interpreter's fast paths index only exact dicts
-    return _trails(dict(collections.Counter(zip(trail, trail[1:]))), trail[0], len(trail))
+    return _trails(dict(collections.Counter(zip(trail, trail[1:]))), trail[0], trail[-1], len(trail))
 
 
-def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> Iterator[Trail]:
+def _trails(remaining: dict[tuple[int, int], int], start: int, end: int, length: int) -> Iterator[Trail]:
     """The search behind :func:`enumerate_trails`, over the arc multiset
     ``remaining`` whose trails have ``length`` symbols.
 
     ``path`` and ``frames`` always have the same length: one frame per
     path vertex, an iterator over the arcs that leave that vertex, in
     ascending order.  Each pass of the loop yields the path first if it
-    holds ``length`` symbols, then enters the top frame's next arc with a
-    remaining count, or, once that frame is exhausted, pops it with its
-    vertex and gives back the arc that led there.  A generator function
-    runs nothing until its first trail is asked for, so the checks and
-    the count stay in :func:`enumerate_trails`, which runs them at the
-    call.
+    holds ``length`` symbols, then enters the top frame's next arc that
+    passes the rule below, or, once that frame is exhausted, pops it with
+    its vertex and gives back the arc that led there.  A generator
+    function runs nothing until its first trail is asked for, so the
+    checks and the count stay in :func:`enumerate_trails`, which runs
+    them at the call.
 
-    One rule prunes the search: never leave a vertex for good while a
-    loop there is unused.  An arc ``(u, v)`` with ``u != v`` is entered
-    only when ``ins[u]``, the number of unused arcs into ``u`` from other
-    vertices, is not zero, or ``u`` has no unused loop.  Why one counter
-    is enough: over the unused arcs, out(v) - in(v) is [v is the current
-    vertex] - [v is the end], the last symbol every trail of the graph
-    shares.  So at the current vertex ``u``, with L unused loops, N
-    unused arcs out to other vertices and I unused arcs in from them,
-    N = I + 1 - [u is the end].  When I = 0, N is 1 and ``u`` is not the
-    end: the arc leaves ``u`` for good, so no trail lies beyond it unless
-    L = 0.  So the rule is the same as entering such an arc only while
-    I > 0 or when it is ``u``'s last unused arc out, and it needs no
-    ``end`` argument.
-    The rule cuts only dead branches, so the trails found, and their
-    order, stay those of the unpruned search.  A step updates ``ins`` in
-    O(1) and a backtrack restores it.  This makes the reversed doubled
-    trail ``(m-1)(m-1) .. 1 1 0 0`` take one pass, but the search is
-    still exponential on some shapes, such as a long unique walk of
-    cycles left part way round, which :func:`is_unique_trail` must search
-    to the end.
+    The rule is Fleury's (1883): never take an arc that strands the
+    unused rest of the graph.  The search stands only where the unused
+    arcs have a trail from the current vertex ``u`` to ``end``, the last
+    symbol that every trail of the graph shares.  That holds at the start,
+    since the input is such a trail.  Taking one copy of ``(u, v)`` keeps
+    it exactly when ``u`` has no unused exit left or ``v`` leads back to
+    ``u`` over the unused arcs.  Then every unused arc, reachable from
+    ``u`` before, is reachable from ``v``, and degree balance gives the
+    trail; otherwise ``u``'s other exits are stranded.  If the copies of
+    ``(u, v)`` are all of ``u``'s unused exits, a copy left over always
+    leads back: the vertices ``v`` reaches send out at least as many
+    unused arcs as they take in, so no unused arc enters them from
+    outside.  So the arc is entered when it is a loop, when ``outs[u]``,
+    the number of ``u``'s unused exits, equals the arc's own count, when
+    ``(v, u)`` is unused, or when :func:`_leads_back` finds ``v`` from
+    ``u``.  That search runs backwards: on the long shapes, a unique walk
+    or the doubled trail, few vertices reach ``u``, while most are
+    reached from ``v``.  It is skipped when no unused arc enters ``u``
+    from another vertex, as on each vertex of the doubled trails.  Degree
+    balance counts those arcs: ``outs[u]``, less ``u``'s unused loops,
+    less one unless ``u`` is ``end``.  Taking the copy changes none of
+    these answers, so they are asked before it is taken.
+
+    So no entered branch dies.  The trails found, and their order, are
+    those of the unpruned search, and :func:`is_unique_trail` enters at
+    most about twice the trail's length of frames, each running at most
+    one O(arcs) search per arc it tries: polynomial time.  A step and its
+    backtrack update ``outs`` in O(1).
     """
     successors: dict[int, list[tuple[int, int]]] = {}
-    ins = dict.fromkeys(itertools.chain.from_iterable(remaining), 0)
+    predecessors: dict[int, list[tuple[int, int]]] = {}
+    outs: dict[int, int] = {}
     for arc in sorted(remaining):
         successors.setdefault(arc[0], []).append(arc)
-        if arc[0] != arc[1]:
-            ins[arc[1]] += remaining[arc]
+        outs[arc[0]] = outs.get(arc[0], 0) + remaining[arc]
 
     path = [start]
     frames = [iter(successors.get(start, ()))]
@@ -84,10 +97,11 @@ def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> I
             yield tuple(path)
         for arc in frames[-1]:
             tail, head = arc
-            if remaining[arc] and (tail == head or ins[tail] or not remaining.get((tail, tail))):
+            if remaining[arc] and (tail == head or outs[tail] == remaining[arc] or remaining.get((head, tail))
+                                   or (outs[tail] - remaining.get((tail, tail), 0) > (tail != end)
+                                       and _leads_back(remaining, predecessors, head, tail))):
                 remaining[arc] -= 1
-                if tail != head:
-                    ins[head] -= 1
+                outs[tail] -= 1
                 path.append(head)
                 frames.append(iter(successors.get(head, ())))
                 break
@@ -95,10 +109,29 @@ def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> I
             frames.pop()
             head = path.pop()
             if path:
-                tail = path[-1]
-                remaining[(tail, head)] += 1
-                if tail != head:
-                    ins[head] += 1
+                remaining[(path[-1], head)] += 1
+                outs[path[-1]] += 1
+
+
+def _leads_back(remaining: dict[tuple[int, int], int], predecessors: dict[int, list[tuple[int, int]]], source: int, target: int) -> bool:
+    """Whether the unused arcs hold a path from ``source`` to ``target``,
+    searched breadth first backwards from ``target``.  A path that ends at
+    ``target`` passes it only at its end, so an arc out of ``target``,
+    such as the copy the search is about to take, never counts.  The
+    first call fills ``predecessors``, the arcs by head, which no search
+    of a doubled trail needs."""
+    if not predecessors:
+        for arc in remaining:
+            predecessors.setdefault(arc[1], []).append(arc)
+    seen, queue = {target}, [target]
+    for vertex in queue:
+        for arc in predecessors.get(vertex, ()):
+            if arc[0] not in seen and remaining[arc]:
+                if arc[0] == source:
+                    return True
+                seen.add(arc[0])
+                queue.append(arc[0])
+    return False
 
 
 def is_unique_trail(trail: Trail) -> bool:

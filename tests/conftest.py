@@ -1,6 +1,9 @@
 import contextlib
 import itertools
+import random
 import signal
+
+import pytest
 
 
 def all_strings(size, max_len, min_len=1):
@@ -31,6 +34,62 @@ def nested_branches(k):
     head = [symbol for pair in zip(anchors, xs) for symbol in pair]
     tail = [symbol for pair in zip(anchors[::-1], ys[::-1]) for symbol in pair]
     return tuple(head) + tuple(range(2 * k, 4 * k)) + tuple(tail)
+
+
+def doubled_trail(m):
+    """``0 0 1 1 .. (m-1) (m-1)``: a loop at each vertex, then on to the
+    next, so the trail is unique."""
+    return tuple(vertex for vertex in range(m) for _ in (0, 1))
+
+
+def random_trails(rng, count, max_len):
+    """``count`` trails of 5 to ``max_len`` symbols over 2 to 40 symbols."""
+    return [tuple(rng.randrange(size) for _ in range(rng.randint(5, max_len)))
+            for size in (rng.randint(2, 40) for _ in range(count))]
+
+
+@pytest.fixture(scope="session")
+def long_trails():
+    """The long-trail corpus: ``(shapes, randoms, returns, spread)``.
+
+    ``shapes`` maps each named shape to the first rejection the automaton
+    must give it, ``None`` for a unique trail: the doubled trail at
+    m=1,000 and its reverse, the nested shape at k=100, 200 and 500,
+    1,024 vertices gone round to 10,000 symbols, the star ``0 1 0 2 .. 0
+    1000``, and seven unique walks of 100 to 2,000 symbols, each also
+    with its first symbol appended.  Such a walk could make its first
+    cycle's laps after the return instead, so only its last symbol is
+    rejected.  ``randoms`` holds 220 random trails of up to 400 or 2,000
+    symbols over 2 to 40 symbols.
+
+    ``returns`` holds 100 unique walks of 200 to 2,000 symbols, each
+    returning into a vertex of its first half: each is rejected at that
+    last symbol.  ``spread`` holds 2,000 random trails whose lengths
+    spread evenly on a log scale up to 3,000 symbols, half of them over
+    up to 4,000 symbols, so that the first rejection can come hundreds of
+    symbols in.
+    """
+    # the grammars' and the oracle's long-trail checks each drew from a
+    # fresh generator with this seed, and their inputs stay as drawn
+    rng = random.Random(2005)
+    randoms = random_trails(rng, 150, 400)
+    walks = [unique_walk(rng, length) for length in (100, 250, 500, 1000, 2000, 2000)]
+    randoms += random_trails(rng, 50, 2000)
+    rng = random.Random(2005)
+    walks.append(unique_walk(rng, 100))
+    randoms += random_trails(rng, 20, 400)
+    shapes = dict.fromkeys([doubled_trail(1000), doubled_trail(1000)[::-1], *map(nested_branches, (100, 200, 500)),
+                            tuple(itertools.islice(itertools.cycle(range(1024)), 10_000)), *walks])
+    shapes[tuple(symbol for leaf in range(1, 1001) for symbol in (0, leaf))] = 5
+    shapes.update((walk + walk[:1], len(walk) + 1) for walk in walks)
+
+    rng = random.Random(4028)
+    walks = (unique_walk(rng, rng.randint(200, 2000)) for _ in range(100))
+    returns = [walk + (rng.choice(walk[: len(walk) // 2]),) for walk in walks]
+    rng = random.Random(20051)
+    spread = [tuple(rng.choices(range(rng.randint(1, 4000 if trial % 2 else 40)), k=round(3000 ** rng.random())))
+              for trial in range(2000)]
+    return shapes, randoms, returns, spread
 
 
 def matches_binary_mfw(trail):

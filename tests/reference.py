@@ -1,5 +1,6 @@
 """What only the tests use: the arcs of a trail's graph, a uniformly
-random trail of it, the O(n⁴) list of every site, the grammar NFA's
+random trail of it, the check that a witness fits its trail, the
+O(n⁴) list of every site, the grammar NFA's
 rule, its states and its set-based simulation, the explicit states of a
 factored live set and the last symbol and length read off it, the
 acceptance test on an automaton state and the checked shift lemma.  The
@@ -190,6 +191,19 @@ def is_proper(trail: Trail, site: TranspositionSite) -> bool:
     first = site.i
     second = site.j
     return trail[first + 1] != trail[second + 1]
+
+
+def assert_witness_fits(trail: Trail, site: TranspositionSite, rejected_at: int) -> None:
+    """The site is well formed and proper, names only indices below the
+    first rejection, and its image is a different trail of the same graph."""
+    assert is_proper(trail, site), (trail, site)
+    assert max(site) < rejected_at, (trail, site)
+    other = apply_transposition(trail, site)
+    assert other != trail
+    # outside the swapped stretch the two trails agree, so their arcs
+    # agree there too, and only the stretch's own arcs need counting
+    assert other[: site.i + 1] == trail[: site.i + 1] and other[site.q + 1 :] == trail[site.q + 1 :]
+    assert arcs(other[site.i : site.q + 2]) == arcs(trail[site.i : site.q + 2])
 
 
 def all_sites(trail: Trail):

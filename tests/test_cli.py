@@ -687,6 +687,18 @@ def test_trails_lists_the_one_trail_of_the_reversed_doubled_trail_at_m_200(monke
     assert (code, out, err) == (EXIT_OK, line + "\n", "")
 
 
+def test_trails_lists_two_trails_of_a_random_line_in_a_second(long_trails, monkeypatch, capsys):
+    # trail 187 of the spread corpus: 230 symbols over 270, rejected at
+    # symbol 51.  The search that could enter dead branches printed not
+    # even one trail in 20 s
+    symbols = long_trails[3][187]
+    with cpu_bound(1):
+        code, out, err = run_cli(["trails", "--tokens", "--limit", "2", " ".join(map(str, symbols))], monkeypatch, capsys)
+    trails = [tuple(map(int, line.split())) for line in out.splitlines()]
+    assert (code, err, len(trails), len(set(trails))) == (EXIT_OK, "", 2, 2)
+    assert all(trail[0] == symbols[0] and sorted(zip(trail, trail[1:])) == sorted(zip(symbols, symbols[1:])) for trail in trails)
+
+
 def test_trails_single_vertex(monkeypatch, capsys):
     code, out, _ = run_cli(["trails", "0"], monkeypatch, capsys)
     assert code == EXIT_OK

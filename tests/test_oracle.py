@@ -6,11 +6,9 @@ import random
 import pytest
 
 from unitrail.automaton import run
-from unitrail.grammar import build_grammar_nfa, nfa_accepts
 from unitrail.oracle import enumerate_trails, is_unique_trail
-from unitrail.transposition import has_proper_transposition
 
-from conftest import all_strings, cpu_bound, nested_branches, unique_walk
+from conftest import all_strings, cpu_bound, doubled_trail, unique_walk
 from reference import arcs, sample_trail
 
 
@@ -96,49 +94,19 @@ def test_every_trail_of_the_graph_is_found():
                 assert list(enumerate_trails(word)) == group, word
 
 
-def test_the_reversed_doubled_trail_at_m_200_is_decided_in_a_second():
-    # (m-1)(m-1) .. 1 1 0 0 is unique; a search that may leave a vertex
-    # before its loop, never to come back, meets 2^m dead ends
-    trail = tuple(s for v in range(199, -1, -1) for s in (v, v))
+@pytest.mark.parametrize("trail", [doubled_trail(200)[::-1], unique_walk(random.Random(16000), 16000), doubled_trail(4000),
+                                   doubled_trail(4000)[::-1], tuple(map(random.Random(7).randrange, [200] * 2000))],
+                         ids=["reversed-doubled-m-200", "unique-walk-16000", "doubled-m-4000", "reversed-doubled-m-4000",
+                              "random-m-200-l-2000"])
+def test_long_trails_are_decided_in_a_second(trail):
+    # each frame the search enters leads to a trail: a unique walk is
+    # searched to its end in one pass, a random trail meets its second
+    # trail at once, and the reversed doubled trail never leaves a vertex
+    # before its loop, which would meet 2^m dead ends.  The search that
+    # could enter dead branches took over 10 s on the walk and on the
+    # random trail
     with cpu_bound(1):
-        assert is_unique_trail(trail)
-
-
-def random_trails(rng, count, max_len):
-    """``count`` trails of 5 to ``max_len`` symbols over 2 to 40 symbols."""
-    return [tuple(rng.randrange(size) for _ in range(rng.randint(5, max_len)))
-            for size in (rng.randint(2, 40) for _ in range(count))]
-
-
-def long_shapes(walk, nested):
-    """The doubled trail ``0 0 1 1 .. 999 999`` and its reverse, 1,024
-    vertices gone round to 10,000 symbols, ``nested`` and ``walk``, each
-    unique, then the star ``0 1 0 2 .. 0 1000``, which is not."""
-    doubled = tuple(vertex for vertex in range(1000) for _ in (0, 1))
-    return [doubled, doubled[::-1], tuple(itertools.islice(itertools.cycle(range(1024)), 10_000)),
-            nested, walk, tuple(symbol for leaf in range(1, 1001) for symbol in (0, leaf))]
-
-
-def test_the_oracle_agrees_with_the_automaton_on_the_long_shapes_it_searches_quickly():
-    # the oracle calls a trail unique exactly when the automaton accepts
-    # it, and on a rejected trail it first finds a second trail on the
-    # prefix the automaton first rejects.  Unique walks longer than 100
-    # are left out, and so is such a walk with its first symbol appended,
-    # whose last unique prefix is the walk itself: the search must
-    # exhaust a unique walk, and that is exponential in its length (73 s
-    # of CPU time on one of 250 symbols, on a 2-CPU x86 machine)
-    rng = random.Random(2005)
-    walk = unique_walk(rng, 100)
-    trails = long_shapes(walk, nested_branches(200)) + [walk + walk[:1]]
-    verdicts = [run(trail, max(trail) + 1).first_rejection for trail in trails]
-    assert verdicts == [None] * 5 + [5, 101]
-    trails += random_trails(rng, 20, 400)
-    for trail in trails:
-        r = run(trail, max(trail) + 1).first_rejection
-        with cpu_bound(1):
-            assert is_unique_trail(trail) == (r is None), trail
-            if r is not None:
-                assert is_unique_trail(trail[: r - 1]) and not is_unique_trail(trail[:r]), trail
+        assert is_unique_trail(trail) == run(trail, max(trail) + 1).accepted
 
 
 def test_a_sampled_trail_is_a_uniformly_drawn_trail_of_the_same_graph():
@@ -153,17 +121,6 @@ def test_a_sampled_trail_is_a_uniformly_drawn_trail_of_the_same_graph():
         hits = collections.Counter(sample_trail(word, rng) for _ in range(3000))
         assert sorted(hits) == list(enumerate_trails(word)) and len(hits) == count, word
         assert all(0.85 <= n * count / 3000 <= 1.15 for n in hits.values()), (word, hits)
-    # every trail of a graph has the same verdict from each classifier, and
-    # a unique one is its graph's only trail.  A path walked out and back,
-    # 0 1 .. m .. 1 0, is left out above m of about 1,000: Wilson's walk
-    # is quadratic there, as it is on the nested shape's chain of anchors
-    for trail in long_shapes(unique_walk(rng, 2000), nested_branches(100)) + random_trails(rng, 50, 2000):
-        size = max(trail) + 1
-        accepted = run(trail, size).accepted
-        sample = sample_trail(trail, rng)
-        assert sample == trail or not accepted, trail
-        assert run(sample, size).accepted == accepted, trail
-        assert has_proper_transposition(sample) == nfa_accepts(build_grammar_nfa(size, "amended"), sample) == (not accepted), trail
 
 
 def test_trail_count_survives_arc_reversal():

@@ -18,7 +18,7 @@ from unitrail.transposition import (
 )
 
 from conftest import all_strings, unique_walk
-from reference import all_sites, arcs, is_proper, properize
+from reference import all_sites, arcs, assert_witness_fits, is_proper, properize
 
 
 def test_apply_one_anchor_swaps_adjacent_segments():
@@ -166,17 +166,6 @@ def test_witness_agrees_with_scan_and_oracle_small_scale():
             assert arcs(other) == arcs(word)
 
 
-def assert_witness_fits(word, site, rejected_at):
-    """The site is well formed and proper, names only indices below the
-    first rejection, and its image is a different trail of the same graph."""
-    validate_site(word, site)
-    assert is_proper(word, site), (word, site)
-    assert max(site) < rejected_at, (word, site)
-    other = apply_transposition(word, site)
-    assert other != word
-    assert arcs(other) == arcs(word)
-
-
 def test_witness_holds_to_scan_and_reference_at_full_range():
     # the automaton witness against the independent scan and the quartic
     # reference: a site exactly when one exists, and a fitting one
@@ -189,25 +178,6 @@ def test_witness_holds_to_scan_and_reference_at_full_range():
                 assert_witness_fits(word, site, run(word, size).first_rejection)
 
 
-def test_witness_and_scan_on_random_trails():
-    # lengths spread evenly on a log scale up to 3,000 symbols, and half
-    # the words over up to 4,000 symbols, so that the first rejection can
-    # come hundreds of symbols in
-    rng = random.Random(20051)
-    for trial in range(2000):
-        size = rng.randint(1, 4000 if trial % 2 else 40)
-        word = tuple(rng.choices(range(size), k=round(3000 ** rng.random())))
-        r = run(word, size).first_rejection
-        site = find_proper_site(word)
-        if r is None:
-            assert site is None and not has_proper_transposition(word), word
-            continue
-        assert site is not None and has_proper_transposition(word), word
-        assert_witness_fits(word, site, r)
-        assert not has_proper_transposition(word[: r - 1]), word
-        assert has_proper_transposition(word[:r]), word
-
-
 def test_scan_takes_linear_time_on_long_unique_trails():
     # a unique trail has no site, so the scan reads it to the end; the
     # nested loop it replaced took 2-4 s of CPU on each of these
@@ -218,26 +188,6 @@ def test_scan_takes_linear_time_on_long_unique_trails():
         assert not has_proper_transposition(trail)
         spent = time.process_time() - start
         assert spent < 0.25, f"{spent:.2f} s of CPU on {len(trail)} symbols"
-
-
-def test_witness_on_long_walks_rejected_late():
-    # unique walks that go round a cycle of fresh vertices, leave it part
-    # way round and never come back, until one returns into a vertex it
-    # left long before: rejections at hundreds to thousands of symbols
-    rng = random.Random(4028)
-    for _ in range(100):
-        fresh = itertools.count(1)
-        walk, cycles = [0], []
-        length = rng.randint(200, 2000)
-        while len(walk) < length:
-            cycle = [walk[-1]] + [next(fresh) for _ in range(rng.randint(0, 11))]
-            walk += (cycle[1:] + cycle[:1]) * rng.randint(1, 4) + cycle[1 : rng.randrange(len(cycle)) + 1]
-            cycles.append(cycle)
-            walk.append(next(fresh))
-        walk.append(rng.choice(rng.choice(cycles)))
-        word, size = tuple(walk), max(walk) + 1
-        assert run(word, size).first_rejection == len(word), word
-        assert_witness_fits(word, find_proper_site(word), len(word))
 
 
 def test_prefix_witness_is_a_proper_site_of_the_whole_word():
