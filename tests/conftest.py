@@ -5,6 +5,13 @@ import signal
 
 import pytest
 
+from unitrail.automaton import run
+from unitrail.grammar import build_grammar_nfa, nfa_accepts
+from unitrail.oracle import is_unique_trail
+from unitrail.transposition import find_proper_site, has_proper_transposition
+
+from reference import assert_witness_fits, sample_trail
+
 
 def all_strings(size, max_len, min_len=1):
     """Every tuple over 0..size-1 with min_len <= length <= max_len."""
@@ -90,6 +97,51 @@ def long_trails():
     spread = [tuple(rng.choices(range(rng.randint(1, 4000 if trial % 2 else 40)), k=round(3000 ** rng.random())))
               for trial in range(2000)]
     return shapes, randoms, returns, spread
+
+
+def check_long_trail(trail, named, rng=None):
+    """Hold one trail of the long-trail corpus to the four classifiers and
+    return the automaton's first rejection, ``None`` for a unique trail.
+
+    The oracle, the scan and the amended grammar call the trail
+    non-unique exactly when the automaton rejects it, each first on the
+    prefix r the automaton first rejects, which the witness fits, and the
+    strict grammar accepts no trail the automaton accepts.  The oracle,
+    under 1 s of CPU, confirms a rejection on prefixes r-1 and r, and a
+    unique verdict on the whole trail if it is ``named`` or of at most
+    400 symbols (a sparse random one of 2,500 takes about 0.25 s).  Given
+    ``rng``, the oracle also runs whole on a rejected trail, and every
+    verdict holds on the reversed trail, a relabelled one, and a
+    resampled one up to 2,000 symbols, which a unique trail must equal
+    (Wilson's walk is quadratic on the nested shape).
+    """
+    size = max(trail) + 1
+    amended, strict = build_grammar_nfa(size, "amended"), build_grammar_nfa(size, "strict")
+    r = run(trail, size).first_rejection
+    # the words that share the trail's verdict: itself, its prefix r if
+    # shorter, and given rng the three variants
+    alike = [trail] if r in (None, len(trail)) else [trail, trail[:r]]
+    if rng is not None:
+        labels = rng.sample(range(size), size)
+        alike += [trail[::-1], tuple(labels[symbol] for symbol in trail)]
+        if len(trail) <= 2000:
+            alike.append(sample_trail(trail, rng))
+            assert alike[-1] == trail or r is not None, trail
+    for other in alike:
+        assert run(other, size).accepted == (r is None), other
+        assert has_proper_transposition(other) == nfa_accepts(amended, other) == (r is not None), other
+        assert not (r is None and nfa_accepts(strict, other)), other
+    with cpu_bound(1):
+        if (named or len(trail) <= 400) and (rng is not None or r is None):
+            assert is_unique_trail(trail) == (r is None), trail
+        if r is not None:
+            assert is_unique_trail(trail[: r - 1]) and not is_unique_trail(trail[:r]), trail
+    if r is None:
+        assert find_proper_site(trail) is None, trail
+        return r
+    assert_witness_fits(trail, find_proper_site(trail), r)
+    assert not has_proper_transposition(trail[: r - 1]) and not nfa_accepts(amended, trail[: r - 1]), trail
+    return r
 
 
 def matches_binary_mfw(trail):

@@ -12,14 +12,13 @@ import pytest
 
 from unitrail.automaton import run
 from unitrail.cli import main
-from unitrail.grammar import build_grammar_nfa, nfa_accepts
 from unitrail.harness import cross_validate
 from unitrail.mfw import brute_mfw, constructive_mfw
-from unitrail.oracle import enumerate_trails, is_unique_trail
-from unitrail.transposition import TranspositionSite, apply_transposition, find_proper_site, has_proper_transposition
+from unitrail.oracle import enumerate_trails
+from unitrail.transposition import TranspositionSite, apply_transposition, has_proper_transposition
 
-from conftest import all_strings, cpu_bound, matches_binary_mfw
-from reference import all_sites, assert_witness_fits, is_proper, properize, sample_trail
+from conftest import all_strings, matches_binary_mfw
+from reference import all_sites, is_proper, properize
 
 UNIVERSES = ((2, 12), (3, 9), (4, 7))
 EXPECTED_COUNTS = {2: 8190, 3: 29523, 4: 21844}
@@ -158,53 +157,3 @@ def test_criterion_7_worked_example():
     assert apply_transposition(word, site) == word
     assert not is_proper(word, site)
     assert list(enumerate_trails(word)) == [word]
-
-
-@criterion(8, "all four classifiers, the witness and the sampler agree on 2,341 long trails, the oracle under 1s a trail")
-def test_criterion_8_long_trail_agreement(long_trails):
-    # the oracle, the scan and the amended grammar call a trail non-unique
-    # exactly when the automaton rejects it, each first on the prefix r
-    # the automaton first rejects, which the witness fits, and the strict
-    # grammar accepts no trail the automaton accepts.  The oracle confirms
-    # each rejection on prefixes r-1 and r, and each unique verdict on the
-    # whole trail: named trails of any length, random ones up to 400
-    # symbols (a sparse one of 2,500 takes about 0.25 s).  The full tier,
-    # the shapes and the 220 random trails, also runs the oracle whole on
-    # rejected trails and holds every verdict on the reversed trail, a
-    # relabelled one, and a resampled one up to 2,000 symbols, which a
-    # unique trail must equal (Wilson's walk is quadratic on the nested
-    # shape)
-    shapes, randoms, returns, spread = long_trails
-    assert [run(trail, max(trail) + 1).first_rejection for trail in [*shapes, *returns]] == [*shapes.values(), *map(len, returns)]
-    rng = random.Random(39)
-    unique = 0
-    for trails, full, named in ((shapes, True, True), (randoms, True, False), (returns, False, True), (spread, False, False)):
-        for trail in trails:
-            size = max(trail) + 1
-            amended, strict = build_grammar_nfa(size, "amended"), build_grammar_nfa(size, "strict")
-            r = run(trail, size).first_rejection
-            unique += r is None
-            # the words that share the trail's verdict: itself, its prefix r
-            # if shorter, and on the full tier the three variants
-            alike = [trail] if r in (None, len(trail)) else [trail, trail[:r]]
-            if full:
-                labels = rng.sample(range(size), size)
-                alike += [trail[::-1], tuple(labels[symbol] for symbol in trail)]
-                if len(trail) <= 2000:
-                    alike.append(sample_trail(trail, rng))
-                    assert alike[-1] == trail or r is not None, trail
-            for other in alike:
-                assert run(other, size).accepted == (r is None), other
-                assert has_proper_transposition(other) == nfa_accepts(amended, other) == (r is not None), other
-                assert not (r is None and nfa_accepts(strict, other)), other
-            with cpu_bound(1):
-                if (named or len(trail) <= 400) and (full or r is None):
-                    assert is_unique_trail(trail) == (r is None), trail
-                if r is not None:
-                    assert is_unique_trail(trail[: r - 1]) and not is_unique_trail(trail[:r]), trail
-            if r is None:
-                assert find_proper_site(trail) is None, trail
-                continue
-            assert_witness_fits(trail, find_proper_site(trail), r)
-            assert not has_proper_transposition(trail[: r - 1]) and not nfa_accepts(amended, trail[: r - 1]), trail
-    assert unique >= 8

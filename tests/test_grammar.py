@@ -1,4 +1,5 @@
 import hashlib
+import random
 import time
 
 import pytest
@@ -7,7 +8,7 @@ from unitrail.automaton import run
 from unitrail.grammar import LiveSet, build_grammar_nfa, nfa_accepts
 from unitrail.transposition import has_proper_transposition
 
-from conftest import all_strings, nested_branches
+from conftest import all_strings, check_long_trail, nested_branches
 from reference import ACCEPT, START, all_states, expand, last_read, simulate, step, successors
 
 
@@ -296,6 +297,14 @@ def test_amended_matches_the_scan_at_alphabet_size_64():
     for word in words:
         assert nfa_accepts(nfa, word) == has_proper_transposition(word), word
     assert [nfa_accepts(nfa, word) for word in words] == [True, True, False, False, False, False]
+
+
+def test_the_grammars_agree_with_the_automaton_on_long_trails(long_trails):
+    # the corpus's 220 random trails of up to 400 or 2,000 symbols, each
+    # also reversed, relabelled and resampled, with the oracle run whole
+    rng = random.Random(39)
+    for trail in long_trails[1]:
+        check_long_trail(trail, named=False, rng=rng)
 
 
 @pytest.mark.parametrize("mode", ["strict", "amended"])

@@ -8,7 +8,7 @@ import pytest
 from unitrail.automaton import run
 from unitrail.oracle import enumerate_trails, is_unique_trail
 
-from conftest import all_strings, cpu_bound, doubled_trail, unique_walk
+from conftest import all_strings, check_long_trail, cpu_bound, doubled_trail, unique_walk
 from reference import arcs, sample_trail
 
 
@@ -107,6 +107,17 @@ def test_long_trails_are_decided_in_a_second(trail):
     # random trail
     with cpu_bound(1):
         assert is_unique_trail(trail) == run(trail, max(trail) + 1).accepted
+
+
+def test_the_oracle_agrees_with_the_automaton_on_the_long_shapes_it_searches_quickly(long_trails):
+    # every named shape gets its pinned first rejection (13 of the 21 are
+    # unique) and the four-way check, the oracle on the whole shape, on
+    # prefixes r-1 and r and on its variants' verdicts.  Unique walks of
+    # up to 2,000 symbols and such a walk with its first symbol appended,
+    # whose last unique prefix is the walk itself, are searched in full
+    shapes = long_trails[0]
+    rng = random.Random(39)
+    assert [check_long_trail(trail, named=True, rng=rng) for trail in shapes] == list(shapes.values())
 
 
 def test_a_sampled_trail_is_a_uniformly_drawn_trail_of_the_same_graph():

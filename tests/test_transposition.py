@@ -17,7 +17,7 @@ from unitrail.transposition import (
     validate_site,
 )
 
-from conftest import all_strings, unique_walk
+from conftest import all_strings, check_long_trail, unique_walk
 from reference import all_sites, arcs, assert_witness_fits, is_proper, properize
 
 
@@ -178,6 +178,14 @@ def test_witness_holds_to_scan_and_reference_at_full_range():
                 assert_witness_fits(word, site, run(word, size).first_rejection)
 
 
+def test_witness_and_scan_on_random_trails(long_trails):
+    # the corpus's 2,000 trails of lengths spread evenly on a log scale up
+    # to 3,000 symbols, half of them over up to 4,000 symbols, so that the
+    # first rejection can come hundreds of symbols in
+    for trail in long_trails[3]:
+        check_long_trail(trail, named=False)
+
+
 def test_scan_takes_linear_time_on_long_unique_trails():
     # a unique trail has no site, so the scan reads it to the end; the
     # nested loop it replaced took 2-4 s of CPU on each of these
@@ -188,6 +196,14 @@ def test_scan_takes_linear_time_on_long_unique_trails():
         assert not has_proper_transposition(trail)
         spent = time.process_time() - start
         assert spent < 0.25, f"{spent:.2f} s of CPU on {len(trail)} symbols"
+
+
+def test_witness_on_long_walks_rejected_late(long_trails):
+    # the corpus's 100 unique walks of 200 to 2,000 symbols, each with a
+    # return into a vertex of its first half: rejections at hundreds to
+    # thousands of symbols, each at exactly the last one
+    returns = long_trails[2]
+    assert [check_long_trail(trail, named=True) for trail in returns] == list(map(len, returns))
 
 
 def test_prefix_witness_is_a_proper_site_of_the_whole_word():
