@@ -9,11 +9,16 @@ names the ids of a size for every command that prints them; everything
 downstream works on ids 0..m-1.  An alphabet is the tuple of its names,
 the name of id ``i`` at index ``i``, so its size is its length.  The
 graph a trail induces needs no type of its own: its arcs are the trail's
-consecutive pairs, and the oracle counts them from the trail.  Each
-classifier checks the symbols of the trail it is given against its own
-alphabet size, so nothing here validates ids.  The two states a stream
-is fed into, the automaton's and the grammar's live set, are the package's
-mutable values; both compare and print through :class:`Slotted`.
+consecutive pairs, and the oracle counts them from the trail.  Nothing
+here validates ids; the classifiers differ in what they check.  The
+automaton and the grammar NFA reject a symbol outside the alphabet size
+they are given, and the witness search sizes the automaton to the
+trail's largest symbol, so it rejects a negative one.  The oracle has
+no alphabet size and rejects only a negative symbol.  The scan checks
+nothing: it compares symbols for equality, so a negative one is just
+another vertex.  The two states a stream is fed into, the automaton's
+and the grammar's live set, are the package's mutable values; both
+compare and print through :class:`Slotted`.
 """
 
 import re

@@ -6,10 +6,11 @@ trails start at the trail's first symbol.  So the oracle takes the trail
 itself.  It backtracks over the remaining arc multiplicities, branching
 in ascending vertex order so the output is lexicographic, and it enters
 an arc only if the arcs left over still form a trail from the arc's
-head: Fleury's rule (1883), decided by a search backwards from the arc's
-tail.  So no branch of the search dies, each trail costs polynomial
-time, and uniqueness queries stop after the second trail.  Used to
-cross-validate every other classifier in the package.
+head: Fleury's rule (1883), met when the arc is its tail's last exit,
+when the reverse arc is unused, or when a search backwards from the
+arc's tail finds its head.  So no branch of the search dies, each trail
+costs polynomial time, and uniqueness queries stop after the second
+trail.  Used to cross-validate every other classifier in the package.
 """
 
 import collections
@@ -37,10 +38,10 @@ def enumerate_trails(trail: Trail) -> Iterator[Trail]:
     if min(trail) < 0:
         raise ValueError(f"symbol {min(trail)} is negative")
     # a plain dict: the interpreter's fast paths index only exact dicts
-    return _trails(dict(collections.Counter(zip(trail, trail[1:]))), trail[0], trail[-1], len(trail))
+    return _trails(dict(collections.Counter(zip(trail, trail[1:]))), trail[0], len(trail))
 
 
-def _trails(remaining: dict[tuple[int, int], int], start: int, end: int, length: int) -> Iterator[Trail]:
+def _trails(remaining: dict[tuple[int, int], int], start: int, length: int) -> Iterator[Trail]:
     """The search behind :func:`enumerate_trails`, over the arc multiset
     ``remaining`` whose trails have ``length`` symbols.
 
@@ -56,26 +57,28 @@ def _trails(remaining: dict[tuple[int, int], int], start: int, end: int, length:
 
     The rule is Fleury's (1883): never take an arc that strands the
     unused rest of the graph.  The search stands only where the unused
-    arcs have a trail from the current vertex ``u`` to ``end``, the last
-    symbol that every trail of the graph shares.  That holds at the start,
-    since the input is such a trail.  Taking one copy of ``(u, v)`` keeps
-    it exactly when ``u`` has no unused exit left or ``v`` leads back to
+    arcs have a trail from the current vertex ``u`` to the last symbol
+    that every trail of the graph shares.  That holds at the start, since
+    the input is such a trail.  Taking one copy of ``(u, v)`` keeps it
+    exactly when ``u`` has no unused exit left or ``v`` leads back to
     ``u`` over the unused arcs.  Then every unused arc, reachable from
     ``u`` before, is reachable from ``v``, and degree balance gives the
-    trail; otherwise ``u``'s other exits are stranded.  If the copies of
-    ``(u, v)`` are all of ``u``'s unused exits, a copy left over always
-    leads back: the vertices ``v`` reaches send out at least as many
-    unused arcs as they take in, so no unused arc enters them from
-    outside.  So the arc is entered when it is a loop, when ``outs[u]``,
-    the number of ``u``'s unused exits, equals the arc's own count, when
-    ``(v, u)`` is unused, or when :func:`_leads_back` finds ``v`` from
-    ``u``.  That search runs backwards: on the long shapes, a unique walk
-    or the doubled trail, few vertices reach ``u``, while most are
-    reached from ``v``.  It is skipped when no unused arc enters ``u``
-    from another vertex, as on each vertex of the doubled trails.  Degree
-    balance counts those arcs: ``outs[u]``, less ``u``'s unused loops,
-    less one unless ``u`` is ``end``.  Taking the copy changes none of
-    these answers, so they are asked before it is taken.
+    trail; otherwise ``u``'s other exits are stranded.  So the arc is
+    entered in three cases:
+
+    * ``outs[u]``, the number of ``u``'s unused exits, equals the arc's
+      own count.  The last copy leaves ``u`` no exit, and a copy left
+      over always leads back: the vertices ``v`` reaches send out at
+      least as many unused arcs as they take in, so no unused arc enters
+      them from outside.
+    * ``(v, u)`` is unused.  For a loop, ``(v, u)`` is the arc itself.
+    * :func:`_leads_back` finds ``v`` from ``u``.  That search runs
+      backwards: on the long shapes, a unique walk or the doubled trail,
+      few vertices reach ``u``, while most are reached from ``v``.
+
+    Each case is asked before the copy is taken.  That changes none of
+    the answers: a loop's head is its tail, and a path into ``u`` uses no
+    arc out of ``u``.
 
     So no entered branch dies.  The trails found, and their order, are
     those of the unpruned search, and :func:`is_unique_trail` enters at
@@ -88,6 +91,7 @@ def _trails(remaining: dict[tuple[int, int], int], start: int, end: int, length:
     outs: dict[int, int] = {}
     for arc in sorted(remaining):
         successors.setdefault(arc[0], []).append(arc)
+        predecessors.setdefault(arc[1], []).append(arc)
         outs[arc[0]] = outs.get(arc[0], 0) + remaining[arc]
 
     path = [start]
@@ -97,9 +101,8 @@ def _trails(remaining: dict[tuple[int, int], int], start: int, end: int, length:
             yield tuple(path)
         for arc in frames[-1]:
             tail, head = arc
-            if remaining[arc] and (tail == head or outs[tail] == remaining[arc] or remaining.get((head, tail))
-                                   or (outs[tail] - remaining.get((tail, tail), 0) > (tail != end)
-                                       and _leads_back(remaining, predecessors, head, tail))):
+            if remaining[arc] and (outs[tail] == remaining[arc] or remaining.get((head, tail))
+                                   or _leads_back(remaining, predecessors, head, tail)):
                 remaining[arc] -= 1
                 outs[tail] -= 1
                 path.append(head)
@@ -117,12 +120,7 @@ def _leads_back(remaining: dict[tuple[int, int], int], predecessors: dict[int, l
     """Whether the unused arcs hold a path from ``source`` to ``target``,
     searched breadth first backwards from ``target``.  A path that ends at
     ``target`` passes it only at its end, so an arc out of ``target``,
-    such as the copy the search is about to take, never counts.  The
-    first call fills ``predecessors``, the arcs by head, which no search
-    of a doubled trail needs."""
-    if not predecessors:
-        for arc in remaining:
-            predecessors.setdefault(arc[1], []).append(arc)
+    such as the copy the search is about to take, never counts."""
     seen, queue = {target}, [target]
     for vertex in queue:
         for arc in predecessors.get(vertex, ()):

@@ -165,14 +165,21 @@ def matches_binary_mfw(trail):
 def cpu_bound(seconds):
     """Raise ``TimeoutError`` in the body once the process has spent
     ``seconds`` of CPU time in it, so a search that runs away fails the
-    test instead of hanging it."""
+    test instead of hanging it.
+
+    The signal handler raises wherever the body happens to be, and on
+    CPython 3.11 such a traceback can hold an entry with no line number,
+    which pytest cannot report.  So the error is raised again from here,
+    naming the function the signal interrupted."""
     def out_of_time(signum, frame):
-        raise TimeoutError(f"more than {seconds} s of CPU time")
+        raise TimeoutError(f"more than {seconds} s of CPU time, in {frame.f_code.co_name}")
 
     previous = signal.signal(signal.SIGPROF, out_of_time)
     signal.setitimer(signal.ITIMER_PROF, seconds)
     try:
         yield
+    except TimeoutError as error:
+        raise TimeoutError(*error.args) from None
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)

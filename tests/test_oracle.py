@@ -1,7 +1,9 @@
 import collections
+import importlib.util
 import inspect
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from unitrail.oracle import enumerate_trails, is_unique_trail
 
 from conftest import all_strings, check_long_trail, cpu_bound, doubled_trail, unique_walk
 from reference import arcs, sample_trail
+
+BEST = Path(__file__).resolve().parents[1] / "bench" / "best.py"
 
 
 def test_enumerates_both_trails_of_0010():
@@ -92,6 +96,29 @@ def test_every_trail_of_the_graph_is_found():
             group.sort()
             for word in group:
                 assert list(enumerate_trails(word)) == group, word
+
+
+def test_the_trail_count_is_the_best_theorems_beyond_the_small_universes():
+    # the benchmark's reference counts the trails by the BEST theorem, with
+    # no search, so random strings over more symbols or longer than the
+    # exhaustive universes get an answer built apart from the oracle; the
+    # strings kept have at most 300 trails, so the whole list is cheap
+    spec = importlib.util.spec_from_file_location("bench_best", BEST)
+    best = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(best)
+    rng = random.Random(40)
+    kept = 0
+    while kept < 300:
+        size = rng.randint(2, 12)
+        word = tuple(rng.randrange(size) for _ in range(rng.randint(8, 40)))
+        count = best.count_trails(word)
+        if count > 300:
+            continue
+        kept += 1
+        found = list(enumerate_trails(word))
+        assert found == sorted(set(found)) and len(found) == count, word
+        for other in found:
+            assert other[0] == word[0] and arcs(other) == arcs(word), (word, other)
 
 
 @pytest.mark.parametrize("trail", [doubled_trail(200)[::-1], unique_walk(random.Random(16000), 16000), doubled_trail(4000),

@@ -7,12 +7,17 @@ import os
 import shlex
 import subprocess
 import sys
+import traceback
 import warnings
 from pathlib import Path
+
+import pytest
 
 import unitrail
 from unitrail.cli import main
 from unitrail.core import SLICE_CHARS
+
+from conftest import cpu_bound
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -186,3 +191,18 @@ def test_the_version_is_stated_once():
         project = read_configuration(ROOT / "pyproject.toml")["project"]
     assert "version" in project["dynamic"]
     assert project["version"] == unitrail.__version__
+
+
+def test_cpu_bound_raises_its_timeout_from_its_own_frame():
+    # the signal can land on an instruction with no line number, and
+    # pytest stops the whole session on such a traceback entry; the error
+    # that leaves cpu_bound starts afresh there, with the interrupted one
+    # suppressed
+    with pytest.raises(TimeoutError, match="CPU time, in test_") as caught:
+        with cpu_bound(0.05):
+            while True:
+                pass
+    entries = list(traceback.walk_tb(caught.value.__traceback__))
+    assert all(lineno is not None for _, lineno in entries)
+    assert entries[-1][0].f_code.co_name == "cpu_bound"
+    assert caught.value.__suppress_context__
